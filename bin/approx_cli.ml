@@ -498,7 +498,7 @@ let bench_cmd =
                    two up to the recognized core count).")
   in
   let out_arg =
-    Arg.(value & opt string "BENCH_9.json"
+    Arg.(value & opt string "BENCH_10.json"
          & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
   in
   let smoke_arg =
@@ -622,8 +622,7 @@ let parse_fsync s =
 
 let run_serve shards io_domains queue_capacity max_batch max_pending max_conns
     poller unix tcp counters k duration node_id nodes replicas
-    gossip_interval_ms k_staleness digest_interval_ticks gossip_wire_spec
-    peers_spec data_dir fsync_spec snapshot_interval_ms =
+    gossip_interval_ms k_staleness digest_interval_ticks peers_spec data_dir fsync_spec snapshot_interval_ms =
   if shards < 1 || io_domains < 1 || counters < 1 || k < 2
      || queue_capacity < 1 || max_batch < 1 || max_pending < 1
      || max_conns < 1
@@ -663,13 +662,6 @@ let run_serve shards io_domains queue_capacity max_batch max_pending max_conns
         peers_spec;
       2
     | Some peers ->
-    if gossip_wire_spec <> "compact" && gossip_wire_spec <> "legacy" then begin
-      Printf.eprintf
-        "serve: malformed --gossip-wire %S (expected compact or legacy)\n"
-        gossip_wire_spec;
-      2
-    end
-    else
     let config =
       { Service.Server.shards;
         io_domains;
@@ -685,8 +677,6 @@ let run_serve shards io_domains queue_capacity max_batch max_pending max_conns
         gossip_interval_ms;
         k_staleness;
         digest_interval_ticks;
-        gossip_wire =
-          (if gossip_wire_spec = "legacy" then `Legacy else `Compact);
         peers;
         data_dir = (if data_dir = "" then None else Some data_dir);
         fsync;
@@ -826,16 +816,7 @@ let serve_cmd =
          & info [ "digest-interval-ticks" ] ~docv:"T"
              ~doc:"Anti-entropy cadence: ship per-object digest \
                    fingerprints to every peer each $(docv) gossip \
-                   ticks (plus one on every reconnect). In legacy \
-                   wire mode this is the full-state sync period.")
-  in
-  let gossip_wire_arg =
-    Arg.(value & opt string "compact"
-         & info [ "gossip-wire" ] ~docv:"WIRE"
-             ~doc:"Peer wire encoding: $(b,compact) (varint deltas, \
-                   digest anti-entropy, coalesced frames) or \
-                   $(b,legacy) (protocol-2 fixed-width acked frames, \
-                   for bandwidth A/B runs).")
+                   ticks (plus one on every reconnect).")
   in
   let peers_arg =
     Arg.(value & opt string ""
@@ -874,8 +855,7 @@ let serve_cmd =
           $ batch_arg $ pending_arg $ max_conns_arg $ poller_arg $ unix_arg
           $ tcp_arg $ counters_arg $ k_arg $ duration_arg $ node_id_arg
           $ nodes_arg $ replicas_arg $ gossip_arg $ k_staleness_arg
-          $ digest_interval_arg $ gossip_wire_arg
-          $ peers_arg $ data_dir_arg $ fsync_arg $ snapshot_arg)
+          $ digest_interval_arg $ peers_arg $ data_dir_arg $ fsync_arg $ snapshot_arg)
 
 (* --mix R:I:A — relative read:inc:add weights, normalized to permille
    (e.g. 8:1:1 is 800 reads, 100 incs, 100 adds per 1000 ops). *)
@@ -1011,21 +991,23 @@ let run_loadgen unix tcp connections ops pipeline read_permille mix add_delta
       (* The name-intern counters live server-side: fetch STATS once
          after the run so the JSON record carries the cache's hit rate
          next to the client-side throughput it helped produce. -1 =
-         the post-run fetch failed (server already gone). *)
+         the post-run fetch failed (server already gone, or the
+         registry outgrew one STATS response). *)
       let scrape =
         match Service.Client.connect (List.hd addrs) with
         | exception Unix.Unix_error _ -> fun _ -> -1
         | client ->
-          let stats = Service.Client.stats_json client in
+          let stats =
+            try Service.Client.stats_json client with Failure _ -> ""
+          in
           Service.Client.close client;
           fun key -> Option.value (scan_json_int stats key) ~default:(-1)
       in
       let intern_hits = scrape "intern_hits"
       and intern_misses = scrape "intern_misses"
-      (* Peer-bandwidth aggregates (schema-9 comms bench): -1 when the
+      (* Peer-bandwidth aggregates (comms bench): -1 when the
          post-run STATS fetch failed or the server predates them. *)
       and gossip_bytes_sent = scrape "gossip_bytes_sent"
-      and gossip_bytes_suppressed = scrape "gossip_bytes_suppressed"
       and gossip_digest_rounds = scrape "gossip_digest_rounds"
       and gossip_repair_objects = scrape "gossip_repair_objects" in
       let module J = Mcore.Bench_json in
@@ -1049,7 +1031,6 @@ let run_loadgen unix tcp connections ops pipeline read_permille mix add_delta
                 ("intern_hits", J.Int intern_hits);
                 ("intern_misses", J.Int intern_misses);
                 ("gossip_bytes_sent", J.Int gossip_bytes_sent);
-                ("gossip_bytes_suppressed", J.Int gossip_bytes_suppressed);
                 ("gossip_digest_rounds", J.Int gossip_digest_rounds);
                 ("gossip_repair_objects", J.Int gossip_repair_objects) ]))
     end
@@ -1200,11 +1181,17 @@ let run_stats unix tcp =
     Printf.eprintf "stats: cannot reach the service: %s\n"
       (Unix.error_message e);
     1
-  | client ->
-    let json = Service.Client.stats_json client in
-    Service.Client.close client;
-    print_string json;
-    0
+  | client -> (
+    match Service.Client.stats_json client with
+    | json ->
+      Service.Client.close client;
+      print_string json;
+      0
+    | exception Failure _ ->
+      (* The server refuses a registry too large for one response. *)
+      Service.Client.close client;
+      prerr_endline "stats: the server refused STATS (registry too large)";
+      1)
 
 let stats_cmd =
   Cmd.v
@@ -1256,5 +1243,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.9.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.10.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

@@ -1,7 +1,7 @@
 module Faa_counter = struct
   type t = int Atomic.t
 
-  let create () = Padded.atomic 0
+  let create () = Backend.Padded.atomic 0
   let increment t = ignore (Atomic.fetch_and_add t 1)
   let add t n = ignore (Atomic.fetch_and_add t n)
   let read t = Atomic.get t
@@ -25,7 +25,7 @@ end
 module Lock_counter = struct
   type t = { mutex : Mutex.t; mutable count : int }
 
-  let create () = Padded.copy { mutex = Mutex.create (); count = 0 }
+  let create () = Backend.Padded.copy { mutex = Mutex.create (); count = 0 }
 
   let increment t =
     Mutex.lock t.mutex;

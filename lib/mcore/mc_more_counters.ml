@@ -2,24 +2,24 @@ module Kadditive = struct
   type t = {
     cells : int Atomic.t array;  (* padded: one cell per pid *)
     threshold : int;
-    pending : Padded.Int_array.t;  (* domain-local; one slot per pid *)
+    pending : Backend.Padded.Int_array.t;  (* domain-local; one slot per pid *)
   }
 
   let create ~n ~k () =
     if n < 1 then invalid_arg "Mc_more_counters.Kadditive: n < 1";
     if k < 0 then invalid_arg "Mc_more_counters.Kadditive: k < 0";
-    { cells = Padded.atomic_array n 0;
+    { cells = Backend.Padded.atomic_array n 0;
       threshold = (k / (n + 1)) + 1;
-      pending = Padded.Int_array.make n 0 }
+      pending = Backend.Padded.Int_array.make n 0 }
 
   let increment t ~pid =
-    let pending = Padded.Int_array.get t.pending pid + 1 in
+    let pending = Backend.Padded.Int_array.get t.pending pid + 1 in
     if pending = t.threshold then begin
       (* The cell is single-writer: a plain read-add-set is safe. *)
       Atomic.set t.cells.(pid) (Atomic.get t.cells.(pid) + pending);
-      Padded.Int_array.set t.pending pid 0
+      Backend.Padded.Int_array.set t.pending pid 0
     end
-    else Padded.Int_array.set t.pending pid pending
+    else Backend.Padded.Int_array.set t.pending pid pending
 
   let read t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.cells
 
@@ -39,8 +39,8 @@ module Tree_counter = struct
     let size = Zmath.pow 2 (Zmath.ceil_log2 (max 2 n)) in
     { n;
       size;
-      leaves = Padded.atomic_array n 0;
-      nodes = Padded.atomic_array size 0 }
+      leaves = Backend.Padded.atomic_array n 0;
+      nodes = Backend.Padded.atomic_array size 0 }
 
   let child_value t i =
     if i >= t.size then

@@ -63,15 +63,13 @@ type config = {
       (* ops per connection of the kill -9 recovery cell (subprocess
          server; skipped without [service_scale_server_exe]); 0 skips. *)
   service_comms_cells : (int * int) list;
-      (* (nodes, replicas) A/B sweep of the gossip data path: each
-         cell runs once per wire encoding (legacy fixed-width vs
-         compact varint+digest) and records steady-state peer
-         bytes-per-op for both. *)
+      (* (nodes, replicas) sweep of the gossip data path: each cell
+         records steady-state peer bytes-per-op. *)
   service_comms_connections : int;
   service_comms_ops_per_connection : int;
   service_comms_heal_diverged : int list;
-      (* partition/reconnect heal cells (3 nodes, 2 replicas, compact
-         wire, durable victim): each entry diverges that many of the
+      (* partition/reconnect heal cells (3 nodes, 2 replicas, durable
+         victim): each entry diverges that many of the
          cluster counters while one node is down and measures the heal
          bytes and time after it rejoins — the proportional-to-
          divergence claim needs at least two sizes. Empty skips. *)
@@ -178,7 +176,7 @@ let default_config =
     (* Sized so the 0.25 s SIGKILL lands mid-load on this host (~0.3 s
        of ops would finish before a later kill). *)
     service_durability_chaos_ops = 150_000;
-    out_path = "BENCH_9.json" }
+    out_path = "BENCH_10.json" }
 
 let smoke_config =
   { trials = 3;
@@ -420,7 +418,7 @@ module Mlp_flat_tree = Algo.Tree_maxreg_algo.Make (Backend.Atomic_backend)
 (* The pre-PR layout, replicated bench-locally so the record carries
    the ablation instead of a before/after diff across revisions: an
    [int Atomic.t array] of per-slot boxed atomics, each inflated to
-   its own cache line ([Padded.atomic_array] — exactly what the
+   its own cache line ([Backend.Padded.atomic_array] — exactly what the
    atomic backend's register arrays used to be), walked by the old
    (index, span) recursion with no hints. Every level of the walk is
    two dependent loads (pointer-array slot, then the box it points
@@ -1105,7 +1103,7 @@ type cluster_node = {
   mutable cn_state : [ `Proc of int | `Inproc of Service.Server.t | `Down ];
 }
 
-let start_cluster_node ?(wire = `Compact) ?data_root ~exe ~paths ~nodes
+let start_cluster_node ?data_root ~exe ~paths ~nodes
     ~replicas ~gossip_ms node =
   (try Unix.unlink node.cn_path with Unix.Unix_error _ -> ());
   let data_dir =
@@ -1135,9 +1133,7 @@ let start_cluster_node ?(wire = `Compact) ?data_root ~exe ~paths ~nodes
         "--nodes"; string_of_int nodes; "--replicas";
         string_of_int replicas; "--gossip-interval-ms";
         string_of_int gossip_ms; "--staleness";
-        string_of_int cluster_k_staleness; "--gossip-wire";
-        (match wire with `Compact -> "compact" | `Legacy -> "legacy");
-        "--peers"; peers; "--unix"; node.cn_path; "--duration"; "600" ]
+        string_of_int cluster_k_staleness; "--peers"; peers; "--unix"; node.cn_path; "--duration"; "600" ]
       @ (match data_dir with Some d -> [ "--data-dir"; d ] | None -> [])
     in
     let pid =
@@ -1158,7 +1154,6 @@ let start_cluster_node ?(wire = `Compact) ?data_root ~exe ~paths ~nodes
         replicas;
         gossip_interval_ms = gossip_ms;
         k_staleness = cluster_k_staleness;
-        gossip_wire = wire;
         data_dir;
         peers =
           List.filter_map
@@ -1636,17 +1631,12 @@ let service_durability cfg =
       ("chaos", J.List chaos) ]
 
 (* ------------------------------------------------------------------ *)
-(* Gossip data path: wire-encoding A/B and partition-heal cost         *)
+(* Gossip data path: peer bytes per op and partition-heal cost         *)
 (* ------------------------------------------------------------------ *)
 
-(* The comms sweep charges the replication plane by the byte: the same
-   load runs once per wire encoding (legacy protocol-2 fixed-width
-   acked frames with periodic full syncs vs the compact varint
-   GOSSIP2/DIGEST path) and the record keeps steady-state peer
-   bytes-per-op for both, plus the digest/suppression counters that
-   explain the gap. Both encodings run at the same gossip interval and
-   the same anti-entropy period, so the ratio isolates the encoding
-   and the diffing — not a cadence change. *)
+(* The comms sweep charges the replication plane by the byte: each cell
+   records steady-state peer bytes-per-op of the GOSSIP2/DIGEST path,
+   plus the digest and repair counters that explain it. *)
 
 let comms_gossip_ms = 10
 
@@ -1700,15 +1690,14 @@ let comms_sum_stats handles key =
     (List.filter_map Fun.id
        (Array.to_list (Array.map cluster_node_stats handles)))
 
-let comms_trial cfg ~nodes ~replicas ~wire =
+let comms_cell cfg ~nodes ~replicas =
   let exe = cfg.service_scale_server_exe in
-  let wire_label = match wire with `Compact -> "compact" | `Legacy -> "legacy" in
   let paths =
     Array.init nodes (fun i ->
         Filename.concat
           (Filename.get_temp_dir_name ())
-          (Printf.sprintf "approx_comms_%d_%d_%d_%s_%d.sock" (Unix.getpid ())
-             nodes replicas wire_label i))
+          (Printf.sprintf "approx_comms_%d_%d_%d_%d.sock" (Unix.getpid ())
+             nodes replicas i))
   in
   let handles =
     Array.init nodes (fun i ->
@@ -1719,7 +1708,7 @@ let comms_trial cfg ~nodes ~replicas ~wire =
     ~finally:(fun () -> Array.iter (kill_cluster_node ~hard:false) handles)
     (fun () ->
       Array.iter
-        (start_cluster_node ~wire ~exe ~paths ~nodes ~replicas
+        (start_cluster_node ~exe ~paths ~nodes ~replicas
            ~gossip_ms:comms_gossip_ms)
         handles;
       Array.iter
@@ -1748,9 +1737,14 @@ let comms_trial cfg ~nodes ~replicas ~wire =
       let bytes_per_op =
         if ops > 0 then float_of_int bytes_sent /. float_of_int ops else 0.0
       in
-      let row =
-        J.Obj
-          [ ("wire", J.Str wire_label);
+      ( J.Obj
+          [ ("nodes", J.Int nodes);
+            ("replicas", J.Int replicas);
+            ("gossip_interval_ms", J.Int comms_gossip_ms);
+            ("k", J.Int cluster_k);
+            ("k_staleness", J.Int cluster_k_staleness);
+            ("connections", J.Int cfg.service_comms_connections);
+            ("ops_per_connection", J.Int cfg.service_comms_ops_per_connection);
             ("ops_per_sec", J.Float r.Service.Loadgen.ops_per_sec);
             ("ok", J.Int ops);
             ("busy", J.Int r.Service.Loadgen.busy);
@@ -1759,42 +1753,14 @@ let comms_trial cfg ~nodes ~replicas ~wire =
             ("converged", J.Bool converged);
             ("converge_wait_ms", J.Float converge_wait_ms);
             ("gossip_bytes_sent", J.Int bytes_sent);
-            ("gossip_bytes_suppressed", J.Int (sum "gossip_bytes_suppressed"));
             ("gossip_digest_rounds", J.Int (sum "gossip_digest_rounds"));
             ("gossip_repair_objects", J.Int (sum "gossip_repair_objects"));
             ("gossip_frames_sent", J.Int (sum "gossip_frames_sent"));
             ("gossip_entries_sent", J.Int (sum "gossip_entries_sent"));
             ("digest_frames_received", J.Int (sum "digest_frames_received"));
             ("digest_mismatches", J.Int (sum "digest_mismatches"));
-            ("bytes_per_op", J.Float bytes_per_op) ]
-      in
-      (row, bytes_per_op, r.Service.Loadgen.errors = 0 && converged))
-
-let comms_cell cfg ~nodes ~replicas =
-  let legacy_row, legacy_bpo, legacy_clean =
-    comms_trial cfg ~nodes ~replicas ~wire:`Legacy
-  in
-  let compact_row, compact_bpo, compact_clean =
-    comms_trial cfg ~nodes ~replicas ~wire:`Compact
-  in
-  let ratio =
-    if compact_bpo > 0.0 then legacy_bpo /. compact_bpo
-    else if legacy_bpo = 0.0 then 1.0 (* no peer traffic either side *)
-    else Float.infinity
-  in
-  ( J.Obj
-      [ ("nodes", J.Int nodes);
-        ("replicas", J.Int replicas);
-        ("gossip_interval_ms", J.Int comms_gossip_ms);
-        ("k", J.Int cluster_k);
-        ("k_staleness", J.Int cluster_k_staleness);
-        ("connections", J.Int cfg.service_comms_connections);
-        ("ops_per_connection", J.Int cfg.service_comms_ops_per_connection);
-        ("rows", J.List [ legacy_row; compact_row ]);
-        ("legacy_bytes_per_op", J.Float legacy_bpo);
-        ("compact_bytes_per_op", J.Float compact_bpo);
-        ("legacy_over_compact_bytes_ratio", J.Float ratio) ],
-    (nodes, replicas, legacy_bpo, ratio, legacy_clean && compact_clean) )
+            ("compact_bytes_per_op", J.Float bytes_per_op) ],
+        r.Service.Loadgen.errors = 0 && converged ))
 
 (* Partition/reconnect heal: one durable node leaves cleanly, the load
    diverges [diverged] of the counters while it is away, and it
@@ -1898,26 +1864,7 @@ let service_cluster_comms cfg =
     List.map (fun d -> comms_heal_cell cfg ~diverged:d)
       (List.sort_uniq compare cfg.service_comms_heal_diverged)
   in
-  (* The acceptance ratio is judged where peer traffic exists: the
-     worst (smallest) ratio across multi-node cells that actually
-     replicate. A nodes>1, replicas=1 cell is single-homed by
-     placement — zero gossip either way — and says nothing about the
-     encodings, so it is excluded rather than diluting the min with
-     its neutral 1.0. *)
-  let multi_ratios =
-    List.filter_map
-      (fun (_, (nodes, _, legacy_bpo, ratio, _)) ->
-        if nodes > 1 && legacy_bpo > 0.0 then Some ratio else None)
-      cells
-  in
-  let min_ratio =
-    match multi_ratios with
-    | [] -> Float.nan
-    | l -> List.fold_left Float.min Float.infinity l
-  in
-  let all_clean =
-    List.for_all (fun (_, (_, _, _, _, clean)) -> clean) cells
-  in
+  let all_clean = List.for_all snd cells in
   (* Proportionality: heal bytes per diverged counter between the
      smallest and largest heal cells. A full-share heal would keep
      total bytes flat as divergence shrinks (ratio >> 1); a
@@ -1939,8 +1886,7 @@ let service_cluster_comms cfg =
   J.Obj
     ([ ("cells", J.List (List.map fst cells));
        ("heal", J.List (List.map fst heal));
-       ("all_cells_clean", J.Bool all_clean);
-       ("min_legacy_over_compact_bytes_ratio", J.Float min_ratio) ]
+       ("all_cells_clean", J.Bool all_clean) ]
     @
     match heal_prop with
     | Some p -> [ ("heal_bytes_per_diverged_ratio", J.Float p) ]
@@ -1990,7 +1936,7 @@ let simulator_metrics cfg =
 let bench_json cfg =
   let cores = detect_cores () in
   J.Obj
-    [ ("schema_version", J.Int 9);
+    [ ("schema_version", J.Int 10);
       ("suite", J.Str "approx_objects perf pipeline");
       ("host",
        J.Obj
@@ -2321,23 +2267,13 @@ let run ?(quiet = false) cfg =
                (fun cell ->
                  match cell with
                  | J.Obj c ->
-                   (match List.assoc_opt "rows" c with
-                    | Some (J.List rows) ->
-                      List.iter
-                        (fun row ->
-                          match row with
-                          | J.Obj r ->
-                            Printf.printf
-                              "  comms     nodes=%.0f repl=%.0f %-7s %8.2f kops/s  peer %7.3f B/op  digests=%.0f repairs=%.0f\n"
-                              (num_of c "nodes") (num_of c "replicas")
-                              (str_of r "wire")
-                              (num_of r "ops_per_sec" /. 1e3)
-                              (num_of r "bytes_per_op")
-                              (num_of r "gossip_digest_rounds")
-                              (num_of r "gossip_repair_objects")
-                          | _ -> ())
-                        rows
-                    | _ -> ())
+                   Printf.printf
+                     "  comms     nodes=%.0f repl=%.0f %8.2f kops/s  peer %7.3f B/op  digests=%.0f repairs=%.0f\n"
+                     (num_of c "nodes") (num_of c "replicas")
+                     (num_of c "ops_per_sec" /. 1e3)
+                     (num_of c "compact_bytes_per_op")
+                     (num_of c "gossip_digest_rounds")
+                     (num_of c "gossip_repair_objects")
                  | _ -> ())
                cells
            | _ -> ());

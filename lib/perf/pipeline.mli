@@ -115,17 +115,14 @@ type config = {
           every acked increment within the factor-k envelope, and the
           reconnecting loadgen finished without errors. 0 skips. *)
   service_comms_cells : (int * int) list;
-      (** [(nodes, replicas)] A/B sweep of the gossip data path: each
-          cell runs the same load once per wire encoding (legacy
-          fixed-width acked frames with periodic full sync vs compact
-          varint GOSSIP2 + digest anti-entropy) at the same gossip
-          interval, recording steady-state peer bytes-per-op for both
-          and their ratio. *)
+      (** [(nodes, replicas)] sweep of the gossip data path (varint
+          GOSSIP2 + digest anti-entropy): each cell records
+          steady-state peer bytes-per-op. *)
   service_comms_connections : int;  (** Connections per comms cell. *)
   service_comms_ops_per_connection : int;
       (** Ops per connection of each comms cell run. *)
   service_comms_heal_diverged : int list;
-      (** Partition-heal cells (3 nodes, 2 replicas, compact wire):
+      (** Partition-heal cells (3 nodes, 2 replicas):
           each entry diverges that many of the cluster counters while
           one durable node is down cleanly, then measures the bytes
           and time the digest exchange spends healing it after it
@@ -168,7 +165,7 @@ val default_config : config
     hot-key Zipf(1.2) service cell; the mlp sweep over three
     working-set cells (pre-PR boxed footprints 72 MiB / 576 MiB /
     1.1 GiB; 18x smaller flat) at 50 permille writes; writes
-    [BENCH_8.json] in the current directory. *)
+    [BENCH_10.json] in the current directory. *)
 
 val smoke_config : config
 (** Tiny counts (3 trials x 500 ops, 64 sim ops) for the [dune runtest]

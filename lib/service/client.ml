@@ -133,11 +133,6 @@ let stats_json t =
   | Wire.Stats_json { json; _ } -> json
   | _ -> failwith "Service.Client.stats_json: non-STATS reply"
 
-let gossip t ~node entries =
-  match roundtrip t (Wire.Gossip { id = fresh_id t; node; entries }) with
-  | Wire.Gossip_ack { merged; _ } -> merged
-  | _ -> failwith "Service.Client.gossip: non-ack reply"
-
 let digest t ~node entries =
   match roundtrip t (Wire.Digest { id = fresh_id t; node; entries }) with
   | Wire.Digest_ack { oids; _ } -> oids

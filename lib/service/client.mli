@@ -30,7 +30,8 @@ exception Version_mismatch of { server : int; client : int }
 
 val connect : ?role:role -> Unix.sockaddr -> t
 (** Connect and complete the HELLO handshake. [`Peer] negotiates the
-    replication role (unlocks GOSSIP and the large peer frame cap);
+    replication role (unlocks GOSSIP2/DIGEST and the large peer frame
+    cap);
     the default [`Client] is an ordinary client connection.
 
     The library never alters process-global signal state: unless the
@@ -75,14 +76,6 @@ val ping : t -> bool
 val stats_json : t -> string
 (** The server's metrics registry as JSON text.
     @raise Failure unless the reply is [Stats_json]. *)
-
-val gossip : t -> node:int -> (string * Delta.t) list -> int
-(** Send one GOSSIP frame carrying [entries] as replica state from
-    [node]; returns the number of entries the receiver merged.
-    Requires a [`Peer] connection. Legacy fixed-width encoding —
-    the compact path goes through {!write_raw} with frames built by
-    the {!Wire} streaming builder.
-    @raise Failure unless the reply is [Gossip_ack]. *)
 
 val digest : t -> node:int -> Wire.digest_entry list -> int list
 (** Send one DIGEST frame and block for its DIGEST_ACK; returns the

@@ -21,11 +21,7 @@
    sender repairs exactly those with full-vector exports. First
    contact therefore heals in one round trip with bytes proportional
    to divergence, not to the hosted share — there is no periodic
-   full-state blast any more.
-
-   The legacy wire mode (fixed-width acked GOSSIP frames, full sync
-   every [digest_interval_ticks]) is kept selectable so the comms
-   bench can A/B the two encodings inside one binary. *)
+   full-state blast. *)
 
 type addr = [ `Unix of string | `Tcp of string * int ]
 
@@ -53,8 +49,6 @@ type state = {
   node_id : int;
   interval_ms : int;
   digest_interval_ticks : int;
-  wire : [ `Compact | `Legacy ];
-  placement : Placement.t;
   table : Objects.table;
   cluster : Metrics.cluster;
   peers : peer list;
@@ -74,13 +68,6 @@ let sockaddr_of_addr = function
   | `Unix path -> Unix.ADDR_UNIX path
   | `Tcp (host, port) ->
     Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-
-(* What the protocol-2 fixed-width encoder would spend on one full
-   export of [o] — the yardstick behind [pl_bytes_suppressed]. *)
-let legacy_entry_len o =
-  let name = (Objects.spec o).Objects.name in
-  1 + String.length name + 1
-  + (if Objects.is_counter_obj o then 1 + (8 * Objects.nodes o) else 8)
 
 (* Keep frames comfortably under the cap; a finished frame stays in
    the coalescing buffer and the next one opens right behind it. *)
@@ -126,21 +113,15 @@ let wire_name p oid o =
   end
   else ""
 
-(* ------------------------------------------------------------------ *)
-(* Compact data path                                                   *)
-(* ------------------------------------------------------------------ *)
-
 (* Append one GOSSIP2 entry for [o] carrying the slots that moved past
    the shadow. Dirty pushes skip the peer's own slot — the peer knows
    its own contribution better than we do, and the restart case where
    it does not is exactly what digest repairs (full vectors) cover.
    Updates the shadow as it goes; a later send failure rolls nothing
    back because resending absolute totals is idempotent and the
-   reconnect zeroes the shadow anyway. Returns the entry's wire cost
-   in bytes (0 = nothing this peer has not seen). *)
+   reconnect zeroes the shadow anyway. Returns [false] when there was
+   nothing this peer has not seen (no entry appended). *)
 let add_dirty_entry st p o oid =
-  let ob = p.p_ob in
-  let before = Obuf.length ob in
   let row = p.p_sent.(oid) in
   if Objects.is_counter_obj o then begin
     let w = Objects.nodes o in
@@ -157,16 +138,18 @@ let add_dirty_entry st p o oid =
     done;
     if !n > 0 then
       Wire.g2_add_counter st.bl ~oid ~name:(wire_name p oid o) ~slots:st.slots
-        ~vals:st.vals ~n:!n
+        ~vals:st.vals ~n:!n;
+    !n > 0
   end
   else begin
     let v = Objects.export_max o in
-    if v > row.(0) then begin
+    let fresh = v > row.(0) in
+    if fresh then begin
       row.(0) <- v;
       Wire.g2_add_max st.bl ~oid ~name:(wire_name p oid o) v
-    end
-  end;
-  Obuf.length ob - before
+    end;
+    fresh
+  end
 
 (* A digest-flagged repair: the full export vector, own slot and
    zeros included — the one frame shape guaranteed to carry a
@@ -220,9 +203,9 @@ let maybe_rotate_g2 st p =
     Wire.g2_start st.bl p.p_ob ~node:st.node_id
   end
 
-(* One peer's share of a compact tick. Returns [false] on a transport
+(* One peer's share of a tick. Returns [false] on a transport
    failure (the caller re-marks this tick's dirty set). *)
-let compact_peer_tick st p ~digest_round ~any_dirty =
+let peer_tick st p ~digest_round ~any_dirty =
   match peer_client st p with
   | None ->
     (* Only count a lost send when there was something to send. *)
@@ -277,20 +260,10 @@ let compact_peer_tick st p ~digest_round ~any_dirty =
             Wire.g2_start st.bl p.p_ob ~node:st.node_id;
             opened := true
           end;
-          let sent = add_dirty_entry st p o oid in
-          if sent > 0 then begin
+          if add_dirty_entry st p o oid then begin
             incr entries;
-            let saved = legacy_entry_len o - sent in
-            if saved > 0 then
-              p.p_link.Metrics.pl_bytes_suppressed <-
-                p.p_link.Metrics.pl_bytes_suppressed + saved;
             maybe_rotate_g2 st p
           end
-          else
-            (* Dirty but nothing this peer has not seen: the legacy
-               encoder would still have shipped the full entry. *)
-            p.p_link.Metrics.pl_bytes_suppressed <-
-              p.p_link.Metrics.pl_bytes_suppressed + legacy_entry_len o
         end
       done;
       if !opened then begin
@@ -309,9 +282,9 @@ let compact_peer_tick st p ~digest_round ~any_dirty =
     if not (flush_peer st p cl) then false
     else if !digest_frames = 0 then true
     else begin
-      (* Collect the DIGEST_ACKs (the only acked frames on the
-         compact path) and repair exactly the flagged objects with
-         full exports — same coalescing buffer, one more write. *)
+      (* Collect the DIGEST_ACKs (the only acked peer frames) and
+         repair exactly the flagged objects with full exports — same
+         coalescing buffer, one more write. *)
       match
         let flagged = ref [] in
         for _ = 1 to !digest_frames do
@@ -349,115 +322,12 @@ let compact_peer_tick st p ~digest_round ~any_dirty =
     end)
 
 (* ------------------------------------------------------------------ *)
-(* Legacy data path (protocol-2 semantics, kept for A/B runs)          *)
-(* ------------------------------------------------------------------ *)
-
-let legacy_chunk_entries entries =
-  let budget = Wire.max_peer_payload - 64 in
-  let entry_len (name, d) =
-    1 + String.length name + 1
-    + (match d with
-      | Delta.Counter v -> 1 + (8 * Array.length v)
-      | Delta.Max _ -> 8)
-  in
-  let rec go cur cur_len acc = function
-    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-    | e :: rest ->
-      let l = entry_len e in
-      if
-        cur <> []
-        && (cur_len + l > budget || List.length cur >= Wire.max_gossip_entries)
-      then go [ e ] l (List.rev cur :: acc) rest
-      else go (e :: cur) (cur_len + l) acc rest
-  in
-  go [] 0 [] entries
-
-let legacy_send_to_peer st p entries =
-  match peer_client st p with
-  | None ->
-    st.cluster.g_send_failures <- st.cluster.g_send_failures + 1;
-    false
-  | Some cl -> (
-    try
-      List.iter
-        (fun chunk ->
-          ignore (Client.gossip cl ~node:st.node_id chunk);
-          st.cluster.g_frames_sent <- st.cluster.g_frames_sent + 1;
-          st.cluster.g_entries_sent <-
-            st.cluster.g_entries_sent + List.length chunk;
-          p.p_link.Metrics.pl_bytes_sent <-
-            p.p_link.Metrics.pl_bytes_sent + 4
-            + Wire.gossip_payload_len chunk)
-        (legacy_chunk_entries entries);
-      true
-    with Unix.Unix_error _ | End_of_file | Failure _ ->
-      drop_client st p;
-      false)
-
-let legacy_tick st =
-  let c = st.cluster in
-  (* The first round counts as a full sync too: a freshly started
-     cluster announces everything at once instead of waiting out the
-     anti-entropy period, and those first frames carry the own-slot
-     echoes a restarted peer needs to close its recovery window. *)
-  let full = c.g_rounds = 1 || c.g_rounds mod st.digest_interval_ticks = 0 in
-  if full then c.g_full_syncs <- c.g_full_syncs + 1;
-  let picked =
-    let acc = ref [] in
-    Objects.iter
-      (fun o ->
-        let dirty = Objects.take_dirty o in
-        if full || dirty then
-          acc :=
-            (o, ((Objects.spec o).Objects.name, Objects.export_delta o))
-            :: !acc)
-      st.table;
-    List.rev !acc
-  in
-  (* A peer with no live connection gets the full hosted set instead
-     of the dirty share, every tick until a send lands: the other end
-     may have restarted blank, and only a full send is guaranteed to
-     carry every object back to it. *)
-  let full_export =
-    lazy
-      (let acc = ref [] in
-       Objects.iter
-         (fun o ->
-           acc :=
-             ((Objects.spec o).Objects.name, Objects.export_delta o) :: !acc)
-         st.table;
-       List.rev !acc)
-  in
-  let dirty_ok = ref true in
-  List.iter
-    (fun p ->
-      let hosts name = Placement.hosts st.placement ~node:p.p_node name in
-      if p.p_client = None then begin
-        let share =
-          List.filter (fun (name, _) -> hosts name) (Lazy.force full_export)
-        in
-        if share <> [] then ignore (legacy_send_to_peer st p share)
-      end
-      else if picked <> [] then begin
-        let share =
-          List.filter_map
-            (fun (_, (name, d)) -> if hosts name then Some (name, d) else None)
-            picked
-        in
-        if share <> [] && not (legacy_send_to_peer st p share) then
-          dirty_ok := false
-      end)
-    st.peers;
-  if picked <> [] then
-    if !dirty_ok then List.iter (fun (o, _) -> Objects.mark_exported o) picked
-    else List.iter (fun (o, _) -> Objects.mark_dirty o) picked
-
-(* ------------------------------------------------------------------ *)
 (* Tick loop                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compact_tick st =
+let tick st =
   let c = st.cluster in
+  c.g_rounds <- c.g_rounds + 1;
   let digest_round =
     c.g_rounds = 1 || c.g_rounds mod st.digest_interval_ticks = 0
   in
@@ -478,19 +348,13 @@ let compact_tick st =
   let all_ok = ref true in
   List.iter
     (fun p ->
-      if not (compact_peer_tick st p ~digest_round ~any_dirty:!any_dirty)
+      if not (peer_tick st p ~digest_round ~any_dirty:!any_dirty)
       then all_ok := false)
     st.peers;
   if !any_dirty && not !all_ok then
     Objects.iter
       (fun o -> if st.dirty.(Objects.id o) then Objects.mark_dirty o)
       st.table
-
-let tick st =
-  st.cluster.g_rounds <- st.cluster.g_rounds + 1;
-  match st.wire with
-  | `Compact -> compact_tick st
-  | `Legacy -> legacy_tick st
 
 let run st =
   let interval = float_of_int st.interval_ms /. 1000.0 in
@@ -532,7 +396,7 @@ let run st =
       | None -> ())
     st.peers
 
-let start ~node_id ~peers ~interval_ms ~digest_interval_ticks ~wire ~placement
+let start ~node_id ~peers ~interval_ms ~digest_interval_ticks ~placement
     ~table ~metrics ~wake_r ~stop ~kick () =
   if interval_ms < 1 then invalid_arg "Gossip.start: interval_ms < 1";
   if digest_interval_ticks < 1 then
@@ -573,8 +437,6 @@ let start ~node_id ~peers ~interval_ms ~digest_interval_ticks ~wire ~placement
     { node_id;
       interval_ms;
       digest_interval_ticks;
-      wire;
-      placement;
       table;
       cluster = Metrics.cluster metrics;
       peers = List.map mk_peer peers;

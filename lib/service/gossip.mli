@@ -6,7 +6,7 @@
     k_staleness growth boundary and writes the wake pipe ({!Server}'s
     [kick]).
 
-    The compact data path (the default) diffs each dirty object
+    The data path diffs each dirty object
     against a per-peer shadow of what that peer last received and
     ships only the changed slots as varint GOSSIP2 entries — absolute
     totals, unacked, coalesced into one buffer per peer per round and
@@ -18,18 +18,12 @@
     one round trip with bytes proportional to divergence — there is
     no periodic full-state blast.
 
-    The [`Legacy] wire mode reproduces the protocol-2 data path
-    (fixed-width acked GOSSIP frames, full sync every
-    [digest_interval_ticks] ticks) so the comms bench can A/B the
-    encodings inside one binary.
-
     Failure handling leans entirely on merge idempotence: a connect
     or send error drops that peer's connection and re-marks the
     tick's exported objects dirty; the redial zeroes the peer's
     shadow and leads with a digest, so duplicated, reordered or lost
     deltas can never widen a replica's envelope. Per-peer bandwidth
-    (bytes sent, bytes suppressed vs the legacy encoding, digest
-    rounds, repaired objects) is accounted into the
+    (bytes sent, digest rounds, repaired objects) is accounted into the
     {!Metrics.peer_link} registered for each peer. *)
 
 type addr = [ `Unix of string | `Tcp of string * int ]
@@ -41,7 +35,6 @@ val start :
   peers:(int * addr) list ->
   interval_ms:int ->
   digest_interval_ticks:int ->
-  wire:[ `Compact | `Legacy ] ->
   placement:Placement.t ->
   table:Objects.table ->
   metrics:Metrics.t ->

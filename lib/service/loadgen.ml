@@ -313,7 +313,7 @@ let handle_response w c resp =
      | Wire.Busy _ -> w.w_busy <- w.w_busy + 1
      | Wire.Unknown_object _ | Wire.Bad_request _ ->
        w.w_errors <- w.w_errors + 1
-     | Wire.Stats_json _ | Wire.Pong _ | Wire.Gossip_ack _ | Wire.Digest_ack _
+     | Wire.Stats_json _ | Wire.Pong _ | Wire.Digest_ack _
      | Wire.Hello_ok _ | Wire.Bad_version _ ->
        w.w_errors <- w.w_errors + 1);
     c.x_completed <- c.x_completed + 1

@@ -55,7 +55,7 @@ type io_loop = {
   mutable l_poller_rejects : int;  (* conns refused by Backend_limit *)
   mutable l_hellos : int;  (* accepted handshakes *)
   mutable l_hello_rejects : int;  (* Bad_version / missing HELLO closes *)
-  mutable l_gossip_frames : int;  (* inbound GOSSIP/GOSSIP2 frames *)
+  mutable l_gossip_frames : int;  (* inbound GOSSIP2 frames *)
   mutable l_gossip_entries : int;  (* entries routed to shards *)
   mutable l_digest_frames : int;  (* inbound DIGEST frames *)
   mutable l_digest_mismatches : int;  (* digest entries flagged diverged *)
@@ -67,15 +67,10 @@ type io_loop = {
 }
 
 (* Per-peer bandwidth accounting on the sender side; every field is
-   written only by the single gossip domain. [pl_bytes_suppressed]
-   charges the bytes the legacy fixed-width export would have cost
-   for state the compact path did not send (unchanged slots, clean
-   objects a full sync would have re-shipped) — the honest
-   denominator for "how much did the diff encoding save". *)
+   written only by the single gossip domain. *)
 type peer_link = {
   pl_node : int;
   mutable pl_bytes_sent : int;
-  mutable pl_bytes_suppressed : int;
   mutable pl_digest_rounds : int;
   mutable pl_repair_objects : int;
 }
@@ -91,7 +86,6 @@ type cluster = {
   mutable g_frames_sent : int;
   mutable g_entries_sent : int;
   mutable g_send_failures : int;
-  mutable g_full_syncs : int;
   mutable g_peer_reconnects : int;
   mutable g_rounds : int;
   mutable c_peers : peer_link list;  (* gossip-start registration order *)
@@ -152,7 +146,6 @@ let create ?(node_id = 0) ?(nodes = 1) ?(replicas = 1)
           g_frames_sent = 0;
           g_entries_sent = 0;
           g_send_failures = 0;
-          g_full_syncs = 0;
           g_peer_reconnects = 0;
           g_rounds = 0;
           c_peers = [] };
@@ -233,7 +226,6 @@ let add_peer t ~node =
     Backend.Padded.copy
       { pl_node = node;
         pl_bytes_sent = 0;
-        pl_bytes_suppressed = 0;
         pl_digest_rounds = 0;
         pl_repair_objects = 0 }
   in
@@ -244,7 +236,6 @@ let sum_peers t f =
   List.fold_left (fun acc pl -> acc + f pl) 0 t.cluster.c_peers
 
 let gossip_bytes_sent t = sum_peers t (fun pl -> pl.pl_bytes_sent)
-let gossip_bytes_suppressed t = sum_peers t (fun pl -> pl.pl_bytes_suppressed)
 let gossip_digest_rounds t = sum_peers t (fun pl -> pl.pl_digest_rounds)
 let gossip_repair_objects t = sum_peers t (fun pl -> pl.pl_repair_objects)
 
@@ -385,11 +376,9 @@ let to_json t =
             ("gossip_frames_sent", J.Int c.g_frames_sent);
             ("gossip_entries_sent", J.Int c.g_entries_sent);
             ("gossip_send_failures", J.Int c.g_send_failures);
-            ("gossip_full_syncs", J.Int c.g_full_syncs);
             ("gossip_rounds", J.Int c.g_rounds);
             ("peer_reconnects", J.Int c.g_peer_reconnects);
             ("gossip_bytes_sent", J.Int (gossip_bytes_sent t));
-            ("gossip_bytes_suppressed", J.Int (gossip_bytes_suppressed t));
             ("gossip_digest_rounds", J.Int (gossip_digest_rounds t));
             ("gossip_repair_objects", J.Int (gossip_repair_objects t));
             ("gossip_frames_received", J.Int (gossip_frames_received t));
@@ -407,7 +396,6 @@ let to_json t =
                     J.Obj
                       [ ("node", J.Int pl.pl_node);
                         ("bytes_sent", J.Int pl.pl_bytes_sent);
-                        ("bytes_suppressed", J.Int pl.pl_bytes_suppressed);
                         ("digest_rounds", J.Int pl.pl_digest_rounds);
                         ("repair_objects", J.Int pl.pl_repair_objects) ])
                   c.c_peers)) ]));

@@ -108,7 +108,7 @@ type io_loop = {
   mutable l_hello_rejects : int;
       (** Connections closed for a version mismatch or a non-HELLO
           first frame. *)
-  mutable l_gossip_frames : int;  (** Inbound GOSSIP/GOSSIP2 frames. *)
+  mutable l_gossip_frames : int;  (** Inbound GOSSIP2 frames. *)
   mutable l_gossip_entries : int;  (** Entries routed to shard queues. *)
   mutable l_digest_frames : int;  (** Inbound DIGEST frames. *)
   mutable l_digest_mismatches : int;
@@ -135,12 +135,7 @@ type peer_link = {
   pl_node : int;
   mutable pl_bytes_sent : int;
       (** Frame bytes (headers included) actually written to this
-          peer: GOSSIP2 pushes, digests and repairs — or legacy
-          GOSSIP frames when the legacy wire mode is selected. *)
-  mutable pl_bytes_suppressed : int;
-      (** Bytes the legacy fixed-width export would have cost for
-          state the compact path did not send (unchanged slots, clean
-          objects a full sync would have re-shipped). *)
+          peer: GOSSIP2 pushes, digests and repairs. *)
   mutable pl_digest_rounds : int;  (** DIGEST frames sent to this peer. *)
   mutable pl_repair_objects : int;
       (** Objects re-shipped in full because a digest flagged them. *)
@@ -157,7 +152,6 @@ type cluster = {
   mutable g_frames_sent : int;
   mutable g_entries_sent : int;
   mutable g_send_failures : int;  (** Frames lost to peer connect/send errors. *)
-  mutable g_full_syncs : int;  (** Anti-entropy rounds (full state, not dirty-only). *)
   mutable g_peer_reconnects : int;
   mutable g_rounds : int;  (** Gossip ticks executed (kicked or periodic). *)
   mutable c_peers : peer_link list;
@@ -252,7 +246,6 @@ val digest_mismatches : t -> int
 (** Inbound anti-entropy aggregates over the I/O loops. *)
 
 val gossip_bytes_sent : t -> int
-val gossip_bytes_suppressed : t -> int
 val gossip_digest_rounds : t -> int
 val gossip_repair_objects : t -> int
 (** Sender-side bandwidth aggregates over the peer links — the

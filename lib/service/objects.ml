@@ -271,9 +271,9 @@ let own_export o = if o.r_recovering then o.r_base else own_total o
    it — keeping the single-node hot path byte-identical. *)
 let mark_dirty o = if o.o_nodes > 1 then Atomic.set o.r_gossip_dirty true
 
-let merge_delta o (d : Delta.t) =
+let merge_delta o (d : Persist.Delta.t) =
   match (d, o.impl) with
-  | Delta.Counter v, (I_kcounter _ | I_faa _)
+  | Persist.Delta.Counter v, (I_kcounter _ | I_faa _)
     when Array.length v = o.o_nodes ->
     let self = o.o_node in
     let remote = ref 0 in
@@ -323,26 +323,16 @@ let merge_delta o (d : Delta.t) =
     if !changed then mark_dirty o;
     refresh_repl o;
     true
-  | Delta.Max v, (I_kmaxreg _ | I_casmax _) ->
+  | Persist.Delta.Max v, (I_kmaxreg _ | I_casmax _) ->
     if v > o.r_max_remote then begin
       o.r_max_remote <- v;
       mark_dirty o
     end;
     refresh_repl o;
     true
-  | Delta.Counter _, _ | Delta.Max _, _ ->
+  | Persist.Delta.Counter _, _ | Persist.Delta.Max _, _ ->
     o.o_stats.rejects <- o.o_stats.rejects + 1;
     false
-
-(* Racy export from the gossip domain: every field read is monotone,
-   so a torn snapshot is a pointwise lower bound of the current state
-   — safe to merge anywhere, any number of times. *)
-let export_delta o =
-  if is_counter_obj o then
-    Delta.Counter
-      (Array.init o.o_nodes (fun j ->
-           if j = o.o_node then own_export o else o.r_vec.(j)))
-  else Delta.Max (max (own_applied o) o.r_max_remote)
 
 (* Has our own contribution grown past the staleness budget since the
    last export? Crossing it wakes the gossip sender early, so a peer
@@ -360,7 +350,9 @@ let nodes o = o.o_nodes
 
 (* Allocation-free export for the coalesced sender: fill the caller's
    scratch array (>= o_nodes wide) with the gossip export vector.
-   Same racy-monotone contract as [export_delta]. *)
+   Racy from the gossip domain: every field read is monotone, so a
+   torn snapshot is a pointwise lower bound of the current state —
+   safe to merge anywhere, any number of times. *)
 let export_counter_into o dst =
   let self = o.o_node in
   for j = 0 to o.o_nodes - 1 do
@@ -425,10 +417,10 @@ let confirm_echo o =
    bound, which is exactly what a fuzzy snapshot is allowed to be. *)
 let persist_export o =
   if is_counter_obj o then
-    Delta.Counter
+    Persist.Delta.Counter
       (Array.init o.o_nodes (fun j ->
            if j = o.o_node then own_total o else o.r_vec.(j)))
-  else Delta.Max (known o)
+  else Persist.Delta.Max (known o)
 
 (* Envelope-aware batching: a record is due only when the merged value
    has grown past the object's approximation factor since the last
@@ -451,9 +443,9 @@ let mark_persisted o = o.p_last_logged <- known o
    remote max, which reads already serve. A kind or width mismatch
    (the name was redefined across restarts) drops the record and
    counts a reject rather than refusing to start. *)
-let recover o (d : Delta.t) =
+let recover o (d : Persist.Delta.t) =
   match (d, o.impl) with
-  | Delta.Counter v, (I_kcounter _ | I_faa _)
+  | Persist.Delta.Counter v, (I_kcounter _ | I_faa _)
     when Array.length v = o.o_nodes ->
     let self = o.o_node in
     let remote = ref 0 in
@@ -471,13 +463,13 @@ let recover o (d : Delta.t) =
     mark_dirty o;
     refresh_repl o;
     true
-  | Delta.Max v, (I_kmaxreg _ | I_casmax _) ->
+  | Persist.Delta.Max v, (I_kmaxreg _ | I_casmax _) ->
     if v > o.r_max_remote then o.r_max_remote <- v;
     o.p_last_logged <- known o;
     mark_dirty o;
     refresh_repl o;
     true
-  | Delta.Counter _, _ | Delta.Max _, _ ->
+  | Persist.Delta.Counter _, _ | Persist.Delta.Max _, _ ->
     o.o_stats.rejects <- o.o_stats.rejects + 1;
     false
 

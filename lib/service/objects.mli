@@ -129,13 +129,13 @@ end
 
     Writer discipline matches the rest of the table: {!merge_delta}
     runs only on the owning shard (gossip entries are routed to shard
-    queues like any other op); {!export_delta}, {!own_total} and
+    queues like any other op); {!export_counter_into}, {!own_total} and
     {!known} are racy snapshot reads — safe because every slot is
     monotone, so a torn vector is a pointwise lower bound of some
     reachable state. {!mark_exported}/{!last_sent} are written only by
     the single gossip-sender domain. *)
 
-val merge_delta : obj -> Delta.t -> bool
+val merge_delta : obj -> Persist.Delta.t -> bool
 (** Join a gossiped delta into the object (owning shard only). The
     sender's view of {e this} node's slot recovers a restart base:
     while {!recovering} the echo is purely pre-crash state (the own
@@ -156,9 +156,6 @@ val begin_recovery : obj -> unit
 
 val recovering : obj -> bool
 (** Whether the object is still waiting for its first own-slot echo. *)
-
-val export_delta : obj -> Delta.t
-(** The object's current merged state as a gossip payload. *)
 
 val own_total : obj -> int
 (** This node's own contribution: recovered base + locally applied
@@ -197,9 +194,8 @@ val nodes : obj -> int
 val export_counter_into : obj -> int array -> unit
 (** Fill the first {!nodes}[ o] slots of the caller's scratch array
     with the gossip export vector (own slot = {!own_export} rules,
-    remote slots = merged view). Allocation-free — the coalesced
-    gossip sender's replacement for {!export_delta}. Counter objects
-    only; same racy-monotone contract. *)
+    remote slots = merged view). Allocation-free — what the gossip
+    sender ships. Counter objects only. *)
 
 val export_max : obj -> int
 (** The merged maximum a max-kind object exports (local writes joined
@@ -229,7 +225,7 @@ val confirm_echo : obj -> unit
     k-envelope. {!persist_due}/{!mark_persisted} and {!recover} are
     owning-shard / build-phase only. *)
 
-val persist_export : obj -> Delta.t
+val persist_export : obj -> Persist.Delta.t
 (** Full durable state: own slot carries [own_total] even during a
     recovery window (disk replay happens only at process start, so the
     gossip epoch-subtraction hazard cannot arise); max kinds export the
@@ -244,7 +240,7 @@ val persist_due : obj -> every_op:bool -> bool
 val mark_persisted : obj -> unit
 (** Record that the current merged value was just staged to the WAL. *)
 
-val recover : obj -> Delta.t -> bool
+val recover : obj -> Persist.Delta.t -> bool
 (** Install recovered state (build phase, before any op, echo or
     {!begin_recovery}): counters fold the own slot into the restart
     base and remote slots into the merged view; max kinds fold into

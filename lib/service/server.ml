@@ -17,10 +17,6 @@ type config = {
   digest_interval_ticks : int;
       (* anti-entropy cadence: a DIGEST sweep every this many gossip
          ticks (plus one on every (re)connect) *)
-  gossip_wire : [ `Compact | `Legacy ];
-      (* peer wire encoding: the varint GOSSIP2/DIGEST data path, or
-         the fixed-width acked GOSSIP frames of protocol 2 (kept for
-         bandwidth A/B runs) *)
   peers : (int * listen) list;
   data_dir : string option;
   fsync : Persist.Wal.fsync_policy;
@@ -43,7 +39,6 @@ let default_config =
     gossip_interval_ms = 50;
     k_staleness = 2;
     digest_interval_ticks = 32;
-    gossip_wire = `Compact;
     peers = [];
     data_dir = None;
     fsync = Persist.Wal.Never;
@@ -68,7 +63,7 @@ let default_config =
 (* Until HELLO lands a connection is [Pending]: any other frame is a
    handshake violation. The negotiated role picks the inbound frame
    cap (peers may ship ~1 MiB gossip frames, so [c_in] grows on
-   demand) and gates GOSSIP. *)
+   demand) and gates GOSSIP2/DIGEST. *)
 type conn_role = Pending | Client_role | Peer_role
 
 type conn = {
@@ -128,7 +123,12 @@ type task = {
   t_conn : conn;
   t_obj : Objects.obj;
   t_op :
-    [ `Inc | `Add of int | `Read | `Write of int | `Merge of Delta.t | `Echo ];
+    [ `Inc
+    | `Add of int
+    | `Read
+    | `Write of int
+    | `Merge of Persist.Delta.t
+    | `Echo ];
   t_id : int;
   t_enq : float;
 }
@@ -470,9 +470,8 @@ let dispatch t (il : Metrics.io_loop) conn req =
      A named entry (first mention on this connection) teaches the
      binding; unnamed entries replay it from [c_peer_map]. An unknown
      name (placement mismatch) or an unmapped oid resolves to -1 and
-     the entry is dropped — the same silent tolerance the legacy
-     GOSSIP path extends to unknown names, and the next digest round
-     re-teaches any binding lost with a dropped entry. *)
+     the entry is dropped, and the next digest round re-teaches any
+     binding lost with a dropped entry. *)
   let resolve_peer_oid oid name =
     match name with
     | Some nm ->
@@ -536,7 +535,7 @@ let dispatch t (il : Metrics.io_loop) conn req =
       || (role = Wire.role_peer && t.cfg.nodes < 2)
     then begin
       (* Unknown role bytes never default to anything, and the peer
-         role — which unlocks the 1 MiB frame cap and GOSSIP merges —
+         role — which unlocks the 1 MiB frame cap and gossip merges —
          is refused outright on a standalone server. Clustered servers
          accept it from any connection: gossip assumes a trusted
          network (see server.mli). *)
@@ -557,39 +556,6 @@ let dispatch t (il : Metrics.io_loop) conn req =
     il.l_hello_rejects <- il.l_hello_rejects + 1;
     il.l_protocol_errors <- il.l_protocol_errors + 1;
     close_conn t conn
-  | Wire.Gossip { id; node = _; entries } ->
-    if conn.c_role <> Peer_role then begin
-      il.l_protocol_errors <- il.l_protocol_errors + 1;
-      close_conn t conn
-    end
-    else begin
-      il.l_gossip_frames <- il.l_gossip_frames + 1;
-      (* Route each entry to its owning shard as a responseless merge
-         task; a full queue drops the entry — idempotent gossip
-         resends it next tick. The ack counts what was routed. *)
-      let merged = ref 0 in
-      let now = Unix.gettimeofday () in
-      List.iter
-        (fun (name, delta) ->
-          (* Peer connections resend the same object names every tick,
-             so their intern cache converges just like a client's. *)
-          let oid = resolve name in
-          if oid >= 0 then begin
-            let obj = Objects.get t.table oid in
-            let task =
-              { t_conn = conn;
-                t_obj = obj;
-                t_op = `Merge delta;
-                t_id = 0;
-                t_enq = now }
-            in
-            if Bqueue.try_push t.queues.(Objects.shard_of obj) task then
-              incr merged
-          end)
-        entries;
-      il.l_gossip_entries <- il.l_gossip_entries + !merged;
-      enqueue_response conn (Wire.Gossip_ack { id; merged = !merged })
-    end
   | Wire.Gossip2 { node = _; entries } ->
     if conn.c_role <> Peer_role then begin
       il.l_protocol_errors <- il.l_protocol_errors + 1;
@@ -611,7 +577,7 @@ let dispatch t (il : Metrics.io_loop) conn req =
             let obj = Objects.get t.table oid in
             let delta =
               match e.Wire.g2_body with
-              | Wire.G2_max v -> Some (Delta.Max v)
+              | Wire.G2_max v -> Some (Persist.Delta.Max v)
               | Wire.G2_counter pairs ->
                 let w = Objects.nodes obj in
                 let v = Array.make w 0 in
@@ -629,7 +595,7 @@ let dispatch t (il : Metrics.io_loop) conn req =
                        true))
                     pairs
                 in
-                if ok then Some (Delta.Counter v) else None
+                if ok then Some (Persist.Delta.Counter v) else None
             in
             match delta with
             | None ->
@@ -696,7 +662,13 @@ let dispatch t (il : Metrics.io_loop) conn req =
     il.l_stats_requests <- il.l_stats_requests + 1;
     refresh_durability t;
     let json = Mcore.Bench_json.to_string (Metrics.to_json t.metrics) in
-    enqueue_response conn (Wire.Stats_json { id; json })
+    (* The registry grows ~440 B per hosted object, so past ~2.3k
+       objects it outgrows the response cap. Encoding it would raise
+       under [c_out_mu] and take the I/O loop down; answer with an
+       explicit error instead. *)
+    if String.length json > Wire.max_stats_json then
+      enqueue_response conn (Wire.Bad_request { id })
+    else enqueue_response conn (Wire.Stats_json { id; json })
   | Wire.Ping { id } -> enqueue_response conn (Wire.Pong { id })
   | Wire.Inc { id; name } -> object_op id name `Inc
   | Wire.Add { id; name; delta } -> object_op id name (`Add delta)
@@ -1190,7 +1162,7 @@ let start ?(config = default_config) ~listen () =
            ~peers:(config.peers :> (int * Gossip.addr) list)
            ~interval_ms:config.gossip_interval_ms
            ~digest_interval_ticks:config.digest_interval_ticks
-           ~wire:config.gossip_wire ~placement ~table ~metrics
+           ~placement ~table ~metrics
            ~wake_r:g_wake_r ~stop:t.stop_flag ~kick:t.g_kick ());
   t
 

@@ -42,7 +42,7 @@
     consistent-hash ring from [(nodes, replicas)], and this node
     builds only the object slice placed on [node_id]. The first frame
     on every connection must be a HELLO carrying the protocol version
-    and a role; peer-role connections unlock GOSSIP frames (merged
+    and a role; peer-role connections unlock GOSSIP2 frames (merged
     into objects through the owning shard's queue, preserving the
     single-writer discipline) and the large peer frame cap. A gossip
     sender domain pushes dirty deltas to [peers] every
@@ -53,7 +53,7 @@
 
     The peer role is {e authorised by network position, not by
     credential}: any connection that completes a peer-role HELLO on a
-    clustered node may send GOSSIP, and counter merges are monotone
+    clustered node may send GOSSIP2, and counter merges are monotone
     and irreversible. Peer listen addresses must therefore only be
     reachable over a trusted network (loopback, a private segment, or
     an authenticated tunnel). Standalone servers ([nodes = 1]) reject
@@ -98,16 +98,7 @@ type config = {
   digest_interval_ticks : int;
       (** Anti-entropy cadence: the gossip sender ships a DIGEST sweep
           (per-object fingerprints) every this many ticks, plus one on
-          every peer (re)connect. Replaces the old hardwired
-          full-state sync every 16 ticks; in [`Legacy] wire mode it is
-          the full-sync period instead. *)
-  gossip_wire : [ `Compact | `Legacy ];
-      (** Peer wire encoding: [`Compact] (default) is the varint
-          GOSSIP2/DIGEST data path — diffed slots, unacked pushes,
-          digest anti-entropy, coalesced writes; [`Legacy] reproduces
-          the protocol-2 fixed-width acked GOSSIP path for bandwidth
-          A/B runs. Both speak wire protocol 3 on the socket; the
-          receiver always accepts all three peer ops. *)
+          every peer (re)connect. *)
   peers : (int * listen) list;
       (** Peer node ids (not [node_id]) and their listen addresses;
           the gossip domain starts only if non-empty and [nodes > 1]. *)
@@ -133,7 +124,7 @@ val default_config : config
     in-flight requests per connection, 1024 connections, [Auto]
     poller, [Objects.default_specs ~counters:4 ~k:4]; standalone
     topology (node 0 of 1, no peers, 50 ms interval, k_staleness 2,
-    digests every 32 ticks, compact wire); durability off
+    digests every 32 ticks); durability off
     ([data_dir = None]; fsync [Never], 1 s snapshots, envelope-batched
     logging when enabled). *)
 

@@ -3,15 +3,14 @@ let max_request_payload = 4096
 let max_peer_payload = 1 lsl 20
 let max_response_payload = 1 lsl 20
 let max_name_len = 255
+let max_stats_json = max_response_payload - 5
 let max_gossip_entries = 0xFFFF
 
 (* The unversioned pre-handshake protocol is retroactively version 1;
-   version 2 added HELLO and the gossip peer frames; version 3 adds
-   the compact peer data path: GOSSIP2 (op 9, varint-encoded deltas
-   with per-connection name interning, fire-and-forget) and DIGEST
-   (op 10, per-object fingerprint summaries) with DIGEST_ACK
-   (status 9). The fixed-width op-8 GOSSIP survives as the legacy
-   wire mode so both encodings can be measured from one binary. *)
+   version 2 added HELLO; version 3 is the compact peer data path:
+   GOSSIP2 (op 9, varint-encoded deltas with per-connection name
+   interning, fire-and-forget) and DIGEST (op 10, per-object
+   fingerprint summaries) with DIGEST_ACK (status 9). *)
 let protocol_version = 3
 let role_client = 0
 let role_peer = 1
@@ -52,7 +51,6 @@ type request =
   | Ping of { id : int }
   | Add of { id : int; name : string; delta : int }
   | Hello of { id : int; version : int; role : int }
-  | Gossip of { id : int; node : int; entries : (string * Delta.t) list }
   | Gossip2 of { node : int; entries : g2_entry list }
       (** unacked — carries no request id and gets no response *)
   | Digest of { id : int; node : int; entries : digest_entry list }
@@ -66,22 +64,20 @@ type response =
   | Pong of { id : int }
   | Hello_ok of { id : int; version : int }
   | Bad_version of { id : int; version : int }
-  | Gossip_ack of { id : int; merged : int }
   | Digest_ack of { id : int; oids : int list }
       (** sender-side dense ids of the objects whose fingerprints
           disagreed — the sender answers with full repair exports *)
 
 let request_id = function
   | Inc { id; _ } | Read { id; _ } | Write { id; _ } | Stats { id }
-  | Ping { id } | Add { id; _ } | Hello { id; _ } | Gossip { id; _ }
-  | Digest { id; _ } ->
+  | Ping { id } | Add { id; _ } | Hello { id; _ } | Digest { id; _ } ->
     id
   | Gossip2 _ -> 0
 
 let response_id = function
   | Value { id; _ } | Busy { id } | Unknown_object { id } | Bad_request { id }
   | Stats_json { id; _ } | Pong { id } | Hello_ok { id; _ }
-  | Bad_version { id; _ } | Gossip_ack { id; _ } | Digest_ack { id; _ } ->
+  | Bad_version { id; _ } | Digest_ack { id; _ } ->
     id
 
 let mask_id id = id land 0xFFFF_FFFF
@@ -187,24 +183,12 @@ let add_digest_entry_buf buf e =
   add_varint_buf buf e.d_fp;
   add_varint_buf buf e.d_total
 
-(* A gossip entry on the wire: name-length byte, name, kind-tag byte,
-   then either a width byte + [width] slot i64s (counter) or one i64
-   (max register). *)
-let entry_wire_len (name, delta) =
-  1 + String.length name + 1
-  + (match (delta : Delta.t) with
-     | Delta.Counter v -> 1 + (8 * Array.length v)
-     | Delta.Max _ -> 8)
-
-let gossip_payload_len entries =
-  List.fold_left (fun acc e -> acc + entry_wire_len e) 8 entries
-
 let encode_request buf req =
   (match req with
    | Inc { name; _ } | Read { name; _ } | Write { name; _ }
    | Add { name; _ } ->
      check_name name
-   | Stats _ | Ping _ | Hello _ | Gossip _ | Gossip2 _ | Digest _ -> ());
+   | Stats _ | Ping _ | Hello _ | Gossip2 _ | Digest _ -> ());
   let named op id name extra =
     add_header buf (6 + String.length name + extra);
     Buffer.add_uint8 buf op;
@@ -239,41 +223,6 @@ let encode_request buf req =
     add_u32 buf id;
     Buffer.add_uint8 buf version;
     Buffer.add_uint8 buf role
-  | Gossip { id; node; entries } ->
-    if node < 0 || node > 255 then
-      invalid_arg "Wire.encode_request: gossip node id outside 0..255";
-    if List.length entries > max_gossip_entries then
-      invalid_arg "Wire.encode_request: too many gossip entries";
-    List.iter
-      (fun (name, delta) ->
-        check_name name;
-        if String.length name = 0 then
-          invalid_arg "Wire.encode_request: empty gossip object name";
-        match (delta : Delta.t) with
-        | Delta.Counter v ->
-          if Array.length v < 1 || Array.length v > 255 then
-            invalid_arg "Wire.encode_request: gossip vector width outside 1..255"
-        | Delta.Max _ -> ())
-      entries;
-    let plen = gossip_payload_len entries in
-    if plen > max_peer_payload then
-      invalid_arg "Wire.encode_request: gossip frame exceeds max_peer_payload";
-    add_header buf plen;
-    Buffer.add_uint8 buf 8;
-    add_u32 buf id;
-    Buffer.add_uint8 buf node;
-    Buffer.add_uint16_be buf (List.length entries);
-    List.iter
-      (fun (name, delta) ->
-        Buffer.add_uint8 buf (String.length name);
-        Buffer.add_string buf name;
-        Buffer.add_uint8 buf (Delta.kind_tag delta);
-        match (delta : Delta.t) with
-        | Delta.Counter v ->
-          Buffer.add_uint8 buf (Array.length v);
-          Array.iter (fun slot -> add_i64 buf slot) v
-        | Delta.Max v -> add_i64 buf v)
-      entries
   | Gossip2 { node; entries } ->
     if node < 0 || node > 255 then
       invalid_arg "Wire.encode_request: gossip node id outside 0..255";
@@ -324,7 +273,7 @@ let encode_response buf resp =
   | Unknown_object { id } -> bare 2 id
   | Bad_request { id } -> bare 3 id
   | Stats_json { id; json } ->
-    if 5 + String.length json > max_response_payload then
+    if String.length json > max_stats_json then
       invalid_arg "Wire.encode_response: STATS payload too large";
     add_header buf (5 + String.length json);
     Buffer.add_uint8 buf 4;
@@ -341,11 +290,6 @@ let encode_response buf resp =
     Buffer.add_uint8 buf 7;
     add_u32 buf id;
     Buffer.add_uint8 buf (version land 0xFF)
-  | Gossip_ack { id; merged } ->
-    add_header buf 9;
-    Buffer.add_uint8 buf 8;
-    add_u32 buf id;
-    add_u32 buf merged
   | Digest_ack { id; oids } ->
     if List.length oids > max_gossip_entries then
       invalid_arg "Wire.encode_response: too many digest-ack oids";
@@ -389,7 +333,7 @@ let encode_response_obuf ob resp =
   | Unknown_object { id } -> obuf_bare ob 2 id
   | Bad_request { id } -> obuf_bare ob 3 id
   | Stats_json { id; json } ->
-    if 5 + String.length json > max_response_payload then
+    if String.length json > max_stats_json then
       invalid_arg "Wire.encode_response_obuf: STATS payload too large";
     Obuf.add_i32_be ob (5 + String.length json);
     Obuf.add_u8 ob 4;
@@ -406,11 +350,6 @@ let encode_response_obuf ob resp =
     Obuf.add_u8 ob 7;
     Obuf.add_i32_be ob (mask_id id);
     Obuf.add_u8 ob (version land 0xFF)
-  | Gossip_ack { id; merged } ->
-    Obuf.add_i32_be ob 9;
-    Obuf.add_u8 ob 8;
-    Obuf.add_i32_be ob (mask_id id);
-    Obuf.add_i32_be ob (mask_id merged)
   | Digest_ack { id; oids } ->
     if List.length oids > max_gossip_entries then
       invalid_arg "Wire.encode_response_obuf: too many digest-ack oids";
@@ -594,41 +533,6 @@ let decode ~max_payload ~parse b ~off ~len =
       | None -> Malformed "unparseable payload"
   end
 
-(* Gossip entries, parsed with a running cursor that must land exactly
-   on the payload end. *)
-let parse_gossip_entries b ~cursor ~stop ~count =
-  let rec go cur remaining acc =
-    if remaining = 0 then if cur = stop then Some (List.rev acc) else None
-    else if cur + 2 > stop then None
-    else begin
-      let nlen = Bytes.get_uint8 b cur in
-      if nlen < 1 || cur + 1 + nlen + 1 > stop then None
-      else begin
-        let name = Bytes.sub_string b (cur + 1) nlen in
-        let tag_off = cur + 1 + nlen in
-        match Bytes.get_uint8 b tag_off with
-        | 0 ->
-          if tag_off + 2 > stop then None
-          else begin
-            let width = Bytes.get_uint8 b (tag_off + 1) in
-            let slots_off = tag_off + 2 in
-            if width < 1 || slots_off + (8 * width) > stop then None
-            else
-              let v = Array.init width (fun i -> get_i64 b (slots_off + (8 * i))) in
-              go (slots_off + (8 * width)) (remaining - 1)
-                ((name, Delta.Counter v) :: acc)
-          end
-        | 1 ->
-          if tag_off + 9 > stop then None
-          else
-            go (tag_off + 9) (remaining - 1)
-              ((name, Delta.Max (get_i64 b (tag_off + 1))) :: acc)
-        | _ -> None
-      end
-    end
-  in
-  go cursor count []
-
 (* LEB128 decode with a hard 9-byte ceiling (the encoder's maximum for
    a 63-bit int); [None] on truncation or an over-long run. Returns
    the value and the cursor after it. *)
@@ -750,17 +654,6 @@ let parse_request b off plen =
                version = Bytes.get_uint8 b (off + 5);
                role = Bytes.get_uint8 b (off + 6) })
       else None
-    | 8 ->
-      if plen < 8 then None
-      else begin
-        let node = Bytes.get_uint8 b (off + 5) in
-        let count = Bytes.get_uint16_be b (off + 6) in
-        match
-          parse_gossip_entries b ~cursor:(off + 8) ~stop:(off + plen) ~count
-        with
-        | Some entries -> Some (Gossip { id; node; entries })
-        | None -> None
-      end
     | 10 ->
       if plen < 8 then None
       else begin
@@ -807,9 +700,6 @@ let parse_response b off plen =
     | 7 ->
       if plen = 6 then
         Some (Bad_version { id; version = Bytes.get_uint8 b (off + 5) })
-      else None
-    | 8 ->
-      if plen = 9 then Some (Gossip_ack { id; merged = get_u32 b (off + 5) })
       else None
     | 9 ->
       if plen < 7 then None

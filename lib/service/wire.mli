@@ -6,7 +6,7 @@
 
     {v
     byte  0        op      (1=INC 2=READ 3=WRITE 4=STATS 5=PING 6=ADD
-                            7=HELLO 8=GOSSIP 9=GOSSIP2 10=DIGEST)
+                            7=HELLO 9=GOSSIP2 10=DIGEST)
     bytes 1-4      request id, unsigned 32-bit big-endian
                                                (all ops except GOSSIP2)
     byte  5        object-name length L        (INC/READ/WRITE/ADD only)
@@ -14,11 +14,10 @@
     bytes +0..+7   value/delta, signed 64-bit BE  (WRITE/ADD only)
     v}
 
-    HELLO carries two extra bytes (protocol version, connection role);
-    GOSSIP carries the sending node id (u8), an entry count (u16 BE)
-    and that many entries — each a name-length byte, the name, a
-    kind-tag byte, then either a width byte + width slot i64s
-    (counter G-vector) or one i64 (max register).
+    HELLO carries two extra bytes (protocol version, connection role).
+    Op 8 and response status 8 are unassigned (they carried the
+    protocol-2 fixed-width GOSSIP frame and its ack) and decode as
+    [Malformed] like any other unknown byte.
 
     {2 Compact peer frames (protocol 3)}
 
@@ -51,13 +50,11 @@
     {v
     byte  0        status  (0=VALUE 1=BUSY 2=UNKNOWN_OBJECT
                             3=BAD_REQUEST 4=STATS_JSON 5=PONG
-                            6=HELLO_OK 7=BAD_VERSION 8=GOSSIP_ACK
-                            9=DIGEST_ACK)
+                            6=HELLO_OK 7=BAD_VERSION 9=DIGEST_ACK)
     bytes 1-4      echoed request id
     bytes +0..+7   value, signed 64-bit BE     (VALUE only)
     bytes 5..      UTF-8 JSON text             (STATS_JSON only)
     byte  5        protocol version            (HELLO_OK/BAD_VERSION)
-    bytes 5-8      merged entry count, u32 BE  (GOSSIP_ACK only)
     bytes 5-6      mismatch count, u16 BE      (DIGEST_ACK only)
     bytes 7..      mismatched oids, varints    (DIGEST_ACK only)
     v}
@@ -100,6 +97,10 @@ val max_response_payload : int
 val max_name_len : int
 (** Object names fit the 1-byte length field: 255. *)
 
+val max_stats_json : int
+(** Longest JSON text a STATS_JSON response can carry: the response
+    cap less the status byte and request id. *)
+
 val max_gossip_entries : int
 (** Entry-count field width: 65535. *)
 
@@ -112,8 +113,8 @@ val role_client : int
 (** HELLO role byte: an ordinary client connection (0). *)
 
 val role_peer : int
-(** HELLO role byte: a replication peer (1) — unlocks GOSSIP frames
-    and the {!max_peer_payload} inbound cap. *)
+(** HELLO role byte: a replication peer (1) — unlocks GOSSIP2/DIGEST
+    frames and the {!max_peer_payload} inbound cap. *)
 
 type g2_body =
   | G2_counter of (int * int) list
@@ -151,11 +152,6 @@ type request =
   | Hello of { id : int; version : int; role : int }
       (** Mandatory first frame: protocol version and connection role
           ({!role_client} or {!role_peer}). *)
-  | Gossip of { id : int; node : int; entries : (string * Delta.t) list }
-      (** Replica state from [node]: one mergeable {!Delta.t} per
-          named object. Peer connections only. Legacy fixed-width
-          encoding, kept as the measurable baseline for the compact
-          path. *)
   | Gossip2 of { node : int; entries : g2_entry list }
       (** Compact delta push from [node]. Unacked: {!request_id}
           returns 0 and the server sends no response. Peer
@@ -176,8 +172,6 @@ type response =
   | Bad_version of { id : int; version : int }
       (** Version mismatch: carries the server's version; the server
           closes the connection after flushing this. *)
-  | Gossip_ack of { id : int; merged : int }
-      (** Gossip accepted; [merged] entries were routed to shards. *)
   | Digest_ack of { id : int; oids : int list }
       (** Digest compared; [oids] are the {e sender's} dense ids of
           the objects whose fingerprint or total disagreed and need a
@@ -196,17 +190,12 @@ val encode_request : Buffer.t -> request -> unit
 (** Append one full frame (header + payload).
     @raise Invalid_argument if a name exceeds {!max_name_len} (or is
     empty in a gossip entry), a HELLO field or gossip node id is out
-    of byte range, a counter vector is wider than 255 slots, or a
-    gossip frame would exceed {!max_peer_payload}. *)
+    of byte range, a counter entry's slots are not increasing in
+    0..254, or a peer frame would exceed {!max_peer_payload}. *)
 
 val encode_response : Buffer.t -> response -> unit
 (** @raise Invalid_argument if the STATS payload would exceed
     {!max_response_payload}. *)
-
-val gossip_payload_len : (string * Delta.t) list -> int
-(** Payload bytes of a legacy GOSSIP frame carrying [entries] — the
-    fixed-width cost yardstick the compact path's suppressed-bytes
-    accounting and the legacy sender's byte counters use. *)
 
 val encode_response_obuf : Obuf.t -> response -> unit
 (** [encode_response] into an {!Obuf.t} — byte-identical frames, but

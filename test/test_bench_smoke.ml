@@ -68,7 +68,7 @@ let test_pipeline_smoke () =
       Alcotest.(check bool)
         (Printf.sprintf "record mentions %S" needle)
         true (contains ~needle s))
-    [ "\"schema_version\": 9"; "counter_throughput"; "maxreg_throughput";
+    [ "\"schema_version\": 10"; "counter_throughput"; "maxreg_throughput";
       "amortized_steps_per_op"; "ops_per_sec_median"; "ops_per_sec_min";
       "ops_per_sec_max"; "kcounter"; "faa"; "\"domains\": 1";
       "\"domains\": 2"; "\"service\""; "\"shards\": 2"; "p50_ns"; "p99_ns";
@@ -95,11 +95,9 @@ let test_pipeline_smoke () =
       "\"variant\": \"flat\""; "flat_over_boxed_speedup";
       "\"finals_agree\": true"; "boxed_heap_bytes";
       "largest_cell_flat_over_boxed_speedup"; "\"all_finals_agree\": true";
-      "\"service_cluster_comms\""; "\"wire\": \"legacy\"";
-      "\"wire\": \"compact\""; "gossip_bytes_sent";
-      "gossip_bytes_suppressed"; "gossip_digest_rounds";
-      "gossip_repair_objects"; "legacy_over_compact_bytes_ratio";
-      "min_legacy_over_compact_bytes_ratio"; "\"all_cells_clean\": true";
+      "\"service_cluster_comms\""; "\"compact_bytes_per_op\"";
+      "gossip_bytes_sent"; "gossip_digest_rounds";
+      "gossip_repair_objects"; "\"all_cells_clean\": true";
       "\"healed\": true"; "heal_bytes"; "diverged_counters" ]
 
 let suite =

@@ -181,56 +181,56 @@ let test_kcounter_validation () =
 let test_packed_roundtrip () =
   let cases =
     [ (0, 0); (0, 1); (1, 0); (1, 1);
-      (Mcore.Packed.max_value, 0);
-      (0, Mcore.Packed.sn_mask);
-      (Mcore.Packed.max_value, Mcore.Packed.sn_mask);
+      (Backend.Packed.max_value, 0);
+      (0, Backend.Packed.sn_mask);
+      (Backend.Packed.max_value, Backend.Packed.sn_mask);
       (12345, 6789) ]
   in
   List.iter
     (fun (value, sn) ->
-      let p = Mcore.Packed.pack ~value ~sn in
+      let p = Backend.Packed.pack ~value ~sn in
       Alcotest.(check bool) "packed word non-negative" true (p >= 0);
       check vi (Printf.sprintf "value of pack(%d,%d)" value sn) value
-        (Mcore.Packed.value p);
+        (Backend.Packed.value p);
       check vi (Printf.sprintf "sn of pack(%d,%d)" value sn) sn
-        (Mcore.Packed.sn p))
+        (Backend.Packed.sn p))
     cases;
   (* sn is stored modulo 2^sn_bits *)
   check vi "sn wraps" 1
-    (Mcore.Packed.sn (Mcore.Packed.pack ~value:0 ~sn:(Mcore.Packed.sn_mask + 2)))
+    (Backend.Packed.sn (Backend.Packed.pack ~value:0 ~sn:(Backend.Packed.sn_mask + 2)))
 
 let test_packed_sn_delta () =
-  let m = Mcore.Packed.sn_mask in
-  check vi "no wrap" 2 (Mcore.Packed.sn_delta 5 3);
-  check vi "wrap by one" 1 (Mcore.Packed.sn_delta 0 m);
-  check vi "wrap by three" 3 (Mcore.Packed.sn_delta 1 (m - 1));
-  check vi "equal" 0 (Mcore.Packed.sn_delta 7 7)
+  let m = Backend.Packed.sn_mask in
+  check vi "no wrap" 2 (Backend.Packed.sn_delta 5 3);
+  check vi "wrap by one" 1 (Backend.Packed.sn_delta 0 m);
+  check vi "wrap by three" 3 (Backend.Packed.sn_delta 1 (m - 1));
+  check vi "equal" 0 (Backend.Packed.sn_delta 7 7)
 
 (* ------------------------------------------------------------------ *)
 (* Padded helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_padded_int_array () =
-  let a = Mcore.Padded.Int_array.make 5 3 in
-  check vi "length" 5 (Mcore.Padded.Int_array.length a);
-  check vi "init" 3 (Mcore.Padded.Int_array.get a 4);
-  Mcore.Padded.Int_array.set a 2 10;
-  check vi "set/get" 10 (Mcore.Padded.Int_array.get a 2);
-  check vi "sum" (3 + 3 + 10 + 3 + 3) (Mcore.Padded.Int_array.sum a)
+  let a = Backend.Padded.Int_array.make 5 3 in
+  check vi "length" 5 (Backend.Padded.Int_array.length a);
+  check vi "init" 3 (Backend.Padded.Int_array.get a 4);
+  Backend.Padded.Int_array.set a 2 10;
+  check vi "set/get" 10 (Backend.Padded.Int_array.get a 2);
+  check vi "sum" (3 + 3 + 10 + 3 + 3) (Backend.Padded.Int_array.sum a)
 
 let test_padded_atomic () =
-  let a = Mcore.Padded.atomic 7 in
+  let a = Backend.Padded.atomic 7 in
   check vi "initial" 7 (Atomic.get a);
   Atomic.set a 9;
   check vi "set" 9 (Atomic.get a);
   check vi "faa" 9 (Atomic.fetch_and_add a 4);
   check vi "after faa" 13 (Atomic.get a);
   (* copy preserves record contents and mutability *)
-  let r = Mcore.Padded.copy (ref 5) in
+  let r = Backend.Padded.copy (ref 5) in
   r := 6;
   check vi "padded ref" 6 !r;
   (* non-blocks pass through *)
-  check vi "immediate" 42 (Mcore.Padded.copy 42)
+  check vi "immediate" 42 (Backend.Padded.copy 42)
 
 (* ------------------------------------------------------------------ *)
 (* Switch-capacity growth                                              *)

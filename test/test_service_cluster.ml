@@ -10,7 +10,7 @@
 module Srv = Service.Server
 module Cl = Service.Client
 module W = Service.Wire
-module D = Service.Delta
+module D = Persist.Delta
 module P = Service.Placement
 
 let check = Alcotest.check
@@ -175,6 +175,13 @@ let build_node ~node_id ~nodes =
   Service.Objects.build ~nodes ~node_id ~metrics ~shards:1
     (Service.Objects.default_specs ~counters:1 ~k:4)
 
+(* The counter vector the gossip sender ships (own slot withheld while
+   recovering), as a mergeable delta. *)
+let gossip_export o =
+  let v = Array.make (Service.Objects.nodes o) 0 in
+  Service.Objects.export_counter_into o v;
+  D.Counter v
+
 let test_objects_merge_roundtrip () =
   let t0 = build_node ~node_id:0 ~nodes:2 in
   let t1 = build_node ~node_id:1 ~nodes:2 in
@@ -188,7 +195,7 @@ let test_objects_merge_roundtrip () =
   Service.Objects.apply_pending o1 ~pid:0;
   check Alcotest.int "node0 own contribution" 25 (Service.Objects.own_total o0);
   check Alcotest.int "node0 known before merge" 25 (Service.Objects.known o0);
-  let d0 = Service.Objects.export_delta o0 in
+  let d0 = gossip_export o0 in
   Alcotest.(check bool) "merge accepted by node1" true
     (Service.Objects.merge_delta o1 d0);
   check Alcotest.int "node1 knows both contributions" 35
@@ -201,13 +208,13 @@ let test_objects_merge_roundtrip () =
     (Service.Objects.known o1);
   (* Merge back the other way: node0 learns node1's slot. *)
   Alcotest.(check bool) "reverse merge accepted by node0" true
-    (Service.Objects.merge_delta o0 (Service.Objects.export_delta o1));
+    (Service.Objects.merge_delta o0 (gossip_export o1));
   check Alcotest.int "both replicas converge" 35 (Service.Objects.known o0);
   (* Kind mismatch is a recorded reject, not a merge. *)
   Alcotest.(check bool) "kind mismatch rejected" false
-    (Service.Objects.merge_delta o1 (Service.Delta.Max 99));
+    (Service.Objects.merge_delta o1 (Persist.Delta.Max 99));
   Alcotest.(check bool) "width mismatch rejected" false
-    (Service.Objects.merge_delta o1 (Service.Delta.Counter [| 1; 2; 3 |]))
+    (Service.Objects.merge_delta o1 (Persist.Delta.Counter [| 1; 2; 3 |]))
 
 let test_objects_boundary_flag () =
   let t0 = build_node ~node_id:0 ~nodes:2 in
@@ -258,7 +265,7 @@ let test_objects_restart_recovery () =
   check Alcotest.int "post-restart increments applied locally" 7
     (Service.Objects.own_total o0);
   (* ...but withheld from exports, so any echo stays pre-crash pure. *)
-  (match Service.Objects.export_delta o0 with
+  (match gossip_export o0 with
    | D.Counter v ->
      check Alcotest.int "own slot withheld while recovering" 0 v.(0)
    | D.Max _ -> Alcotest.fail "counter exported a max delta");
@@ -267,12 +274,12 @@ let test_objects_restart_recovery () =
   (* The first own-slot echo recovers the base and closes the window;
      the acked increments are preserved on top of it. *)
   Alcotest.(check bool) "echo merged" true
-    (Service.Objects.merge_delta o0 (Service.Objects.export_delta o1));
+    (Service.Objects.merge_delta o0 (gossip_export o1));
   Alcotest.(check bool) "recovery window closed" false
     (Service.Objects.recovering o0);
   check Alcotest.int "base + post-restart increments" 32
     (Service.Objects.own_total o0);
-  (match Service.Objects.export_delta o0 with
+  (match gossip_export o0 with
    | D.Counter v ->
      check Alcotest.int "own slot exported after recovery" 32 v.(0)
    | D.Max _ -> Alcotest.fail "counter exported a max delta");
@@ -311,7 +318,7 @@ let test_objects_recovery_ignores_absent_own_slot () =
   Alcotest.(check bool) "absent own slot leaves the window open" true
     (Service.Objects.recovering o0);
   check Alcotest.int "peer slot learned" 18 (Service.Objects.known o0);
-  (match Service.Objects.export_delta o0 with
+  (match gossip_export o0 with
    | D.Counter v ->
      check Alcotest.int "own slot still withheld" 0 v.(0)
    | D.Max _ -> Alcotest.fail "counter exported a max delta");
@@ -375,7 +382,7 @@ let test_objects_digest_exchange () =
             ("repair of " ^ name ^ " merged")
             true
             (Service.Objects.merge_delta o_dst
-               (Service.Objects.export_delta o_src))
+               (Service.Objects.persist_export o_src))
         end)
       src;
     List.rev !repaired
@@ -544,15 +551,67 @@ let test_hello_gate_peer_role_standalone () =
 
 let test_gossip_requires_peer_role () =
   with_server (fun srv ->
-      (* A client-role connection must not be able to inject gossip. *)
-      let cl = Cl.connect (Srv.sockaddr srv) in
+      (* A client-role connection must not be able to inject gossip:
+         neither an acked DIGEST nor an unacked GOSSIP2 push. Each is a
+         protocol error that closes the connection. *)
+      let errors () = Service.Metrics.protocol_errors (Srv.metrics srv) in
+      let rejected what send =
+        let before = errors () in
+        let cl = Cl.connect (Srv.sockaddr srv) in
+        Fun.protect
+          ~finally:(fun () -> Cl.close cl)
+          (fun () ->
+            match
+              send cl;
+              Cl.ping cl
+            with
+            | exception (End_of_file | Failure _ | Unix.Unix_error _) -> ()
+            | _ -> Alcotest.failf "client-role %s accepted" what);
+        check Alcotest.int (what ^ " counted as a protocol error")
+          (before + 1) (errors ())
+      in
+      rejected "DIGEST" (fun cl ->
+          ignore
+            (Cl.digest cl ~node:0
+               [ { W.d_oid = 0; d_name = Some "c0"; d_fp = 0; d_total = 0 } ]));
+      rejected "GOSSIP2" (fun cl ->
+          let ob = Service.Obuf.create () in
+          let bl = W.builder () in
+          W.g2_start bl ob ~node:0;
+          W.g2_add_max bl ~oid:0 ~name:"kmaxreg" 100;
+          W.frame_finish bl;
+          Cl.write_raw cl (Service.Obuf.bytes ob) ~len:(Service.Obuf.length ob)))
+
+(* Op 8 carried the protocol-2 fixed-width GOSSIP frame; it is
+   unassigned now, so even a peer-role connection gets it treated as
+   any malformed frame: a protocol error and a close. *)
+let test_retired_gossip_op_on_peer () =
+  with_server
+    ~config:{ Srv.default_config with nodes = 2 }
+    (fun srv ->
+      let before = Service.Metrics.protocol_errors (Srv.metrics srv) in
+      let fd = raw_connect srv in
       Fun.protect
-        ~finally:(fun () -> Cl.close cl)
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
         (fun () ->
-          match Cl.gossip cl ~node:0 [ ("c0", D.Counter [| 100 |]) ] with
-          | exception (End_of_file | Failure _ | Unix.Unix_error _) -> ()
-          | merged ->
-            Alcotest.failf "client-role gossip accepted (%d merged)" merged))
+          raw_send fd
+            (W.Hello { id = 1; version = W.protocol_version; role = W.role_peer });
+          (* op 8, id 2, node 0, zero entries *)
+          let b = Buffer.create 16 in
+          Buffer.add_int32_be b 8l;
+          Buffer.add_uint8 b 8;
+          Buffer.add_int32_be b 2l;
+          Buffer.add_uint8 b 0;
+          Buffer.add_uint16_be b 0;
+          let bytes = Buffer.to_bytes b in
+          ignore (Unix.write fd bytes 0 (Bytes.length bytes));
+          match raw_drain fd with
+          | [] | [ W.Hello_ok { id = 1; _ } ] -> ()
+          | other ->
+            Alcotest.failf "expected at most HELLO_OK then close, got %d frames"
+              (List.length other));
+      check Alcotest.int "op 8 counted as a protocol error" (before + 1)
+        (Service.Metrics.protocol_errors (Srv.metrics srv)))
 
 (* ------------------------------------------------------------------ *)
 (* In-process 3-node cluster, end to end                               *)
@@ -769,7 +828,9 @@ let () =
          ("peer role needs a cluster", `Quick,
           test_hello_gate_peer_role_standalone);
          ("gossip needs the peer role", `Quick,
-          test_gossip_requires_peer_role) ]);
+          test_gossip_requires_peer_role);
+         ("retired op 8 closes a peer connection", `Quick,
+          test_retired_gossip_op_on_peer) ]);
       ("cluster",
        [ ("3 nodes, 2 replicas, end to end", `Quick, test_cluster_end_to_end);
          ("node kill and blank restart", `Quick,

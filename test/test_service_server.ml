@@ -277,6 +277,27 @@ let test_loadgen_4_shards poller () =
           Printf.sprintf "\"poller\": %S" (Srv.poller_name srv);
           "max_ready_batch"; "\"poller_rejects\": 0" ])
 
+(* A registry too large for one response (4096 hosted counters is
+   well past the 1 MiB cap) must be refused with an error reply; the
+   connection stays usable. *)
+let test_stats_over_cap () =
+  let config =
+    { Srv.default_config with
+      shards = 1;
+      specs = Service.Objects.default_specs ~counters:4096 ~k:4 }
+  in
+  with_server ~config (fun srv ->
+      let c = Cl.connect (Srv.sockaddr srv) in
+      Fun.protect
+        ~finally:(fun () -> Cl.close c)
+        (fun () ->
+          (match Cl.stats_json c with
+           | exception Failure _ -> ()
+           | json ->
+             Alcotest.failf "over-cap STATS answered with %d bytes"
+               (String.length json));
+          Alcotest.(check bool) "PING still answered" true (Cl.ping c)))
+
 (* ------------------------------------------------------------------ *)
 (* Backpressure                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -537,7 +558,8 @@ let () =
          ("ADD: exact sums, envelope, rejection", `Quick, test_add_op);
          ("k-counter accuracy self-check", `Quick, test_kcounter_accuracy) ]
        @ per_poller (fun () ->
-             [ ("loadgen against 4 shards", `Quick, test_loadgen_4_shards) ]));
+             [ ("loadgen against 4 shards", `Quick, test_loadgen_4_shards) ])
+       @ [ ("over-cap STATS is an error reply", `Quick, test_stats_over_cap) ]);
       ("fusion",
        [ ("objects-level defer/apply/batch_read", `Quick,
           test_objects_fusion_deterministic);

@@ -28,23 +28,6 @@ let gen_name =
     int_range 1 W.max_name_len >>= fun n ->
     string_size ~gen:(char_range 'a' 'z') (return n))
 
-let gen_delta =
-  QCheck.Gen.(
-    oneof
-      [ (int_range 1 8 >>= fun w ->
-         map
-           (fun l -> Service.Delta.Counter (Array.of_list l))
-           (list_size (return w) (int_bound 1_000_000)));
-        map (fun v -> Service.Delta.Max v) (int_bound 1_000_000) ])
-
-let gen_gossip_entries =
-  QCheck.Gen.(
-    list_size (int_range 0 16) (pair gen_name gen_delta) >>= fun entries ->
-    (* Distinct names keep the comparison structural (duplicates are
-       legal on the wire but make little sense in one frame). *)
-    return
-      (List.sort_uniq (fun (a, _) (b, _) -> compare a b) entries))
-
 (* Compact peer-frame entries: counter pairs carry strictly increasing
    slots in 0..254 and non-negative absolute totals (the varint wire
    domain); oids are small dense ids; names are optional first
@@ -92,9 +75,6 @@ let gen_request =
           (int_bound 255)
           (oneofl [ W.role_client; W.role_peer ]);
         map2
-          (fun node entries -> W.Gossip { id; node; entries })
-          (int_bound 255) gen_gossip_entries;
-        map2
           (fun node entries -> W.Gossip2 { node; entries })
           (int_bound 255) gen_g2_entries;
         map2
@@ -114,10 +94,7 @@ let gen_response =
           (string_size ~gen:printable (int_bound 200));
         return (W.Pong { id });
         map (fun version -> W.Hello_ok { id; version }) (int_bound 255);
-        map (fun version -> W.Bad_version { id; version }) (int_bound 255);
-        map
-          (fun merged -> W.Gossip_ack { id; merged })
-          (int_bound 0xFFFF) ])
+        map (fun version -> W.Bad_version { id; version }) (int_bound 255) ])
 
 let arb_request = QCheck.make gen_request
 let arb_response = QCheck.make gen_response
@@ -222,7 +199,9 @@ let test_malformed () =
   (* INC with trailing bytes after the name. *)
   expect_malformed "trailing bytes" (frame_of_payload "\x01AAAA\x01abXYZ");
   (* Response-only status byte is not a request op. *)
-  expect_malformed "response opcode as request" (frame_of_payload "\x00AAAA")
+  expect_malformed "response opcode as request" (frame_of_payload "\x00AAAA");
+  (* Op 8 (the retired protocol-2 GOSSIP): id, node, zero entries. *)
+  expect_malformed "retired op 8" (frame_of_payload "\x08AAAA\x01\x00\x00")
 
 let test_max_request_boundary () =
   (* The largest legal request frame (255-byte name WRITE) stays under
@@ -278,27 +257,34 @@ let test_hello_malformed () =
   expect_malformed "hello trailing bytes" (frame_of_payload "\x07AAAA\x02\x00Z")
 
 let test_gossip_malformed () =
-  (* Entry count promises one entry but the payload ends. *)
+  (* GOSSIP2 entry count promises one entry but the payload ends. *)
   expect_malformed "gossip missing entries"
-    (frame_of_payload "\x08AAAA\x01\x00\x01");
-  (* Entry with an unknown kind tag. *)
-  expect_malformed "gossip bad kind tag"
-    (frame_of_payload "\x08AAAA\x01\x00\x01\x01c\x07");
-  (* Zero-length entry name. *)
+    (frame_of_payload "\x09\x01\x00\x01");
+  (* Entry tag with the unassigned code 3. *)
+  expect_malformed "gossip bad entry code"
+    (frame_of_payload "\x09\x01\x00\x01\x03\x05");
+  (* Counter entry announcing zero (slot, total) pairs. *)
+  expect_malformed "gossip zero pairs"
+    (frame_of_payload "\x09\x01\x00\x01\x00\x00");
+  (* Named entry with a zero-length name. *)
   expect_malformed "gossip empty name"
-    (frame_of_payload "\x08AAAA\x01\x00\x01\x00\x01AAAAAAAA")
+    (frame_of_payload "\x09\x01\x00\x01\x05\x00\x07");
+  (* DIGEST fingerprint of 2^32, one past the 32-bit field. *)
+  expect_malformed "digest fingerprint overflow"
+    (frame_of_payload "\x0aAAAA\x01\x00\x01\x00\x80\x80\x80\x80\x10\x00")
 
 (* The role split: one frame, two caps. A gossip frame bigger than the
    client cap must be rejected by the client decoder before its
    payload arrives, yet decode fine under the peer cap. *)
 let test_peer_cap_split () =
   let wide =
-    (* 16 entries x 255-byte names x 8 slots ~ 5.5 KB > 4096. *)
-    List.init 16 (fun i ->
-        (Printf.sprintf "%s%02d" (String.make 253 'g') i,
-         Service.Delta.Counter (Array.make 8 max_int)))
+    (* 24 first mentions x 255-byte names ~ 6.4 KB > 4096. *)
+    List.init 24 (fun i ->
+        { W.g2_oid = i;
+          g2_name = Some (Printf.sprintf "%s%02d" (String.make 253 'g') i);
+          g2_body = W.G2_max max_int })
   in
-  let b = encode_req (W.Gossip { id = 3; node = 1; entries = wide }) in
+  let b = encode_req (W.Gossip2 { node = 1; entries = wide }) in
   Alcotest.(check bool) "frame exceeds the client cap" true
     (Bytes.length b - W.header_len > W.max_request_payload);
   (match W.decode_request b ~off:0 ~len:(Bytes.length b) with
@@ -306,13 +292,13 @@ let test_peer_cap_split () =
      check Alcotest.int "announced length" (Bytes.length b - W.header_len) n
    | _ -> Alcotest.fail "client decoder accepted a peer-sized frame");
   match W.decode_request_peer b ~off:0 ~len:(Bytes.length b) with
-  | W.Decoded (W.Gossip { entries; _ }, consumed) ->
-    check Alcotest.int "all entries back" 16 (List.length entries);
+  | W.Decoded (W.Gossip2 { entries; _ }, consumed) ->
+    check Alcotest.int "all entries back" 24 (List.length entries);
     check Alcotest.int "whole frame consumed" (Bytes.length b) consumed
   | _ -> Alcotest.fail "peer decoder rejected a legal gossip frame"
 
 (* ------------------------------------------------------------------ *)
-(* Compact peer frames: varints, the streaming builder, legacy parity  *)
+(* Compact peer frames: varints, the streaming builder                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Reference LEB128 reader (the decoder side lives inside Wire's frame
@@ -402,12 +388,9 @@ let prop_builder_parity =
       W.encode_request buf (W.Digest { id; node; entries = digs });
       Service.Obuf.contents ob = Buffer.contents buf)
 
-(* Old-vs-new encoder equivalence on exports: a replica vector pushed
-   through the legacy fixed-width GOSSIP frame and through a compact
-   GOSSIP2 frame (nonzero slots as gap-encoded pairs — the sender's
-   zero-slot skipping) must decode back to the same state, and the
-   compact frame must never be the larger of the two at realistic
-   magnitudes. *)
+(* Export vectors pushed through a GOSSIP2 frame (nonzero slots as
+   gap-encoded pairs — the sender's zero-slot skipping) must decode
+   back to the input vectors. *)
 let gen_exports =
   QCheck.Gen.(
     list_size (int_range 1 8)
@@ -416,14 +399,10 @@ let gen_exports =
           map Array.of_list (list_size (return w) (int_bound 1_000_000))))
     >>= fun l -> return (List.sort_uniq (fun (a, _) (b, _) -> compare a b) l))
 
-let prop_legacy_compact_equivalence =
+let prop_compact_exports_roundtrip =
   QCheck.Test.make ~count:500
-    ~name:"compact gap-encoded exports = legacy fixed-width exports"
+    ~name:"compact gap-encoded exports decode to the input vectors"
     (QCheck.make gen_exports) (fun exports ->
-      let node = 1 in
-      let legacy_entries =
-        List.map (fun (n, v) -> (n, Service.Delta.Counter v)) exports
-      in
       let g2_entries =
         List.mapi
           (fun oid (n, v) ->
@@ -440,14 +419,8 @@ let prop_legacy_compact_equivalence =
             { W.g2_oid = oid; g2_name = Some n; g2_body = W.G2_counter pairs })
           exports
       in
-      let legacy = encode_req (W.Gossip { id = 7; node; entries = legacy_entries }) in
-      let compact = encode_req (W.Gossip2 { node; entries = g2_entries }) in
-      let decoded_legacy =
-        match W.decode_request_peer legacy ~off:0 ~len:(Bytes.length legacy) with
-        | W.Decoded (W.Gossip { entries; _ }, _) -> entries
-        | _ -> []
-      in
-      let decoded_compact =
+      let compact = encode_req (W.Gossip2 { node = 1; entries = g2_entries }) in
+      let decoded =
         match
           W.decode_request_peer compact ~off:0 ~len:(Bytes.length compact)
         with
@@ -459,15 +432,12 @@ let prop_legacy_compact_equivalence =
                 let _, orig = List.find (fun (n', _) -> n' = n) exports in
                 let v = Array.make (Array.length orig) 0 in
                 List.iter (fun (slot, total) -> v.(slot) <- total) pairs;
-                (n, Service.Delta.Counter v)
-              | _ -> ("", Service.Delta.Max (-1)))
+                (n, v)
+              | _ -> ("", [||]))
             entries
         | _ -> []
       in
-      decoded_legacy = legacy_entries
-      && decoded_compact = legacy_entries
-      && Bytes.length compact - W.header_len
-         <= W.gossip_payload_len legacy_entries)
+      decoded = exports)
 
 (* The coalesced sender's warm path — open frame, append interned
    entries, finish, repeat — must not allocate once the Obuf has grown
@@ -502,16 +472,15 @@ let test_builder_warm_no_alloc () =
       delta
 
 let test_gossip_encode_guards () =
-  let entry v = [ ("c0", Service.Delta.Counter (Array.make v 0)) ] in
-  Alcotest.check_raises "vector wider than 255 slots"
-    (Invalid_argument
-       "Wire.encode_request: gossip vector width outside 1..255")
-    (fun () ->
-      ignore (encode_req (W.Gossip { id = 0; node = 0; entries = entry 256 })));
+  let entry slot =
+    [ { W.g2_oid = 0; g2_name = None; g2_body = W.G2_counter [ (slot, 1) ] } ]
+  in
+  Alcotest.check_raises "counter slot beyond 254"
+    (Invalid_argument "Wire.encode_request: counter slot outside 0..254")
+    (fun () -> ignore (encode_req (W.Gossip2 { node = 0; entries = entry 255 })));
   Alcotest.check_raises "node id out of byte range"
     (Invalid_argument "Wire.encode_request: gossip node id outside 0..255")
-    (fun () ->
-      ignore (encode_req (W.Gossip { id = 0; node = 256; entries = entry 1 })))
+    (fun () -> ignore (encode_req (W.Gossip2 { node = 256; entries = entry 0 })))
 
 let () =
   Alcotest.run "service_wire"
@@ -540,4 +509,4 @@ let () =
        :: List.map QCheck_alcotest.to_alcotest
             [ prop_varint_roundtrip;
               prop_builder_parity;
-              prop_legacy_compact_equivalence ]) ]
+              prop_compact_exports_roundtrip ]) ]

@@ -27,8 +27,8 @@ FLOOR=$(awk '/"object":/ { obj = ($2 ~ /kcounter/) }
 echo "   (floor: kcounter read-heavy median >= $FLOOR ops/s)"
 dune exec bin/approx_cli.exe -- bench --smoke --out /tmp/BENCH_ci_smoke.json \
   --check-floor "$FLOOR" > /dev/null
-grep -q '"schema_version": 9' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record is not schema_version 9"; exit 1; }
+grep -q '"schema_version": 10' /tmp/BENCH_ci_smoke.json \
+  || { echo "smoke record is not schema_version 10"; exit 1; }
 grep -q '"fastpath"' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing the fastpath experiment"; exit 1; }
 grep -q '"read_ablation"' /tmp/BENCH_ci_smoke.json \
@@ -71,10 +71,8 @@ grep -q '"zipf_s": 1.2' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing the hot-key Zipf cell"; exit 1; }
 grep -q '"service_cluster_comms"' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing the gossip data-path sweep"; exit 1; }
-grep -q '"wire": "legacy"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the legacy-encoding A/B rows"; exit 1; }
-grep -q '"legacy_over_compact_bytes_ratio"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the encoding byte ratio"; exit 1; }
+grep -q '"compact_bytes_per_op"' /tmp/BENCH_ci_smoke.json \
+  || { echo "smoke record missing the peer bytes-per-op figure"; exit 1; }
 grep -q '"healed": true' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record partition-heal cells did not heal"; exit 1; }
 rm -f /tmp/BENCH_ci_smoke.json
