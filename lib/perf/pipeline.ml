@@ -872,7 +872,6 @@ type scale_obs = {
 }
 
 let scale_shards = 2
-let scale_queue = 16_384
 let scale_pipeline = 2
 
 let wait_for_socket path ~timeout_s =
@@ -917,7 +916,6 @@ let scale_trial_inproc ~poller ~conns ~ops ~ramp trial =
   let config =
     { Service.Server.default_config with
       shards = scale_shards;
-      queue_capacity = scale_queue;
       max_conns = conns + 64;
       poller }
   in
@@ -957,7 +955,7 @@ let scale_trial_exec ~exe ~poller ~conns ~ops ~ramp trial =
   let pid =
     Unix.create_process exe
       [| exe; "serve"; "--shards"; string_of_int scale_shards;
-         "--io-domains"; "1"; "--queue"; string_of_int scale_queue;
+         "--io-domains"; "1";
          "--max-conns"; string_of_int (conns + 64);
          "--poller"; Service.Poller.choice_to_string poller;
          "--unix"; path; "--duration"; "600" |]
@@ -1127,7 +1125,7 @@ let start_cluster_node ?data_root ~exe ~paths ~nodes
     let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
     let args =
       [ exe; "serve"; "--shards"; string_of_int scale_shards;
-        "--io-domains"; "1"; "--queue"; string_of_int scale_queue;
+        "--io-domains"; "1";
         "--counters"; string_of_int cluster_counters; "-k";
         string_of_int cluster_k; "--node-id"; string_of_int node.cn_id;
         "--nodes"; string_of_int nodes; "--replicas";
@@ -1145,8 +1143,7 @@ let start_cluster_node ?data_root ~exe ~paths ~nodes
     let config =
       { Service.Server.default_config with
         shards = scale_shards;
-        queue_capacity = scale_queue;
-        specs =
+          specs =
           Service.Objects.default_specs ~counters:cluster_counters
             ~k:cluster_k;
         node_id = node.cn_id;
@@ -1256,8 +1253,8 @@ let cluster_trial cfg ~nodes ~replicas ~gossip_ms ~chaos =
       let r = Service.Loadgen.run ~addrs lg_cfg in
       Option.iter Domain.join killer;
       (* Quiesce before judging staleness: a few intervals, plus slack
-         for a full-sync round to repair any gossip entry dropped on a
-         full shard queue. *)
+         for a digest round to repair any gossip push lost with a
+         killed node. *)
       Unix.sleepf (Float.max 0.3 (4.0 *. float_of_int gossip_ms /. 1000.0));
       let stats =
         List.filter_map Fun.id
@@ -1524,8 +1521,7 @@ let durability_chaos_cell cfg ~exe =
     let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
     let pid =
       Unix.create_process exe
-        [| exe; "serve"; "--shards"; "2"; "--io-domains"; "1"; "--queue";
-           string_of_int scale_queue; "--counters";
+        [| exe; "serve"; "--shards"; "2"; "--io-domains"; "1"; "--counters";
            string_of_int dur_counters; "-k"; string_of_int dur_k; "--unix";
            path; "--duration"; "600"; "--data-dir"; dir; "--fsync"; "never";
            "--snapshot-interval-ms"; "200" |]

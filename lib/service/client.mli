@@ -12,8 +12,9 @@
       {!flush} pushes the whole buffer in one write (which is what
       makes the server's read batching kick in), {!recv} blocks for
       the next response. Responses carry the echoed request id; the
-      server may interleave BUSY replies ahead of earlier object ops,
-      so match on ids, not arrival order.
+      server answers PING/STATS/UNKNOWN_OBJECT as it parses them,
+      ahead of earlier object ops still batched, so match on ids, not
+      arrival order.
 
     Clients are not domain-safe: one client per domain.
 

@@ -7,7 +7,7 @@
     sweeps need a handful of domains, not 10k. Each connection keeps a
     window of at most [pipeline] requests in flight: responses drained
     from the socket refill the window, so client-side latency includes
-    queueing, shard execution and both coalesced I/O paths.
+    batching, execution and both coalesced I/O paths.
 
     Op choice (target object, inc vs add vs read) is a seeded LCG keyed
     by [(seed, cid)] alone — a given config replays the same op

@@ -44,7 +44,6 @@ type io_loop = {
   mutable l_poller : string;  (* active backend, set when the loop starts *)
   mutable l_accepted : int;  (* bumped by the accepting loop (loop 0) *)
   mutable l_closed : int;
-  mutable l_busy_replies : int;
   mutable l_protocol_errors : int;
   mutable l_oversized_frames : int;
   mutable l_stats_requests : int;
@@ -171,7 +170,6 @@ let create ?(node_id = 0) ?(nodes = 1) ?(replicas = 1)
               l_poller = "";
               l_accepted = 0;
               l_closed = 0;
-              l_busy_replies = 0;
               l_protocol_errors = 0;
               l_oversized_frames = 0;
               l_stats_requests = 0;
@@ -250,7 +248,6 @@ let sum_loops t f = Array.fold_left (fun acc l -> acc + f l) 0 t.io_loops
 
 let accepted t = sum_loops t (fun l -> l.l_accepted)
 let closed t = sum_loops t (fun l -> l.l_closed)
-let busy_replies t = sum_loops t (fun l -> l.l_busy_replies)
 let protocol_errors t = sum_loops t (fun l -> l.l_protocol_errors)
 let oversized_frames t = sum_loops t (fun l -> l.l_oversized_frames)
 let stats_requests t = sum_loops t (fun l -> l.l_stats_requests)
@@ -322,7 +319,6 @@ let io_loop_json l =
       ("poller", J.Str l.l_poller);
       ("accepted", J.Int l.l_accepted);
       ("closed", J.Int l.l_closed);
-      ("busy_replies", J.Int l.l_busy_replies);
       ("protocol_errors", J.Int l.l_protocol_errors);
       ("oversized_frames", J.Int l.l_oversized_frames);
       ("stats_requests", J.Int l.l_stats_requests);
@@ -354,7 +350,6 @@ let to_json t =
        J.Obj
          [ ("connections_accepted", J.Int (accepted t));
            ("connections_closed", J.Int (closed t));
-           ("busy_replies", J.Int (busy_replies t));
            ("protocol_errors", J.Int (protocol_errors t));
            ("oversized_frames", J.Int (oversized_frames t));
            ("stats_requests", J.Int (stats_requests t));

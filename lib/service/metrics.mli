@@ -3,9 +3,10 @@
     the k-multiplicative accuracy self-check results, exported as one
     JSON document through the STATS protocol op.
 
-    Ownership discipline instead of locks: every mutable field has a
-    single writing domain — an {!obj} or {!shard} record is written
-    only by the shard that owns it, an {!io_loop} record only by its
+    Ownership discipline instead of extra locks: every mutable field
+    has a single writer at a time — an {!obj} or {!shard} record is
+    written only under the lock of the shard that owns it (by
+    whichever I/O loop holds it), an {!io_loop} record only by its
     event-loop domain. Readers (the STATS handler, tests) may look at
     any field from any domain and observe a momentarily stale but
     memory-safe snapshot; OCaml immediate ints never tear. Shard,
@@ -55,7 +56,9 @@ type obj = {
 type shard = {
   s_shard : int;
   mutable tasks : int;  (** Requests executed by this shard. *)
-  mutable batches : int;  (** Queue drains (>= 1 task each). *)
+  mutable batches : int;
+      (** Drains: one loop's batch of this shard's ops run under the
+          shard lock (>= 1 op each). *)
   mutable max_batch : int;
   mutable fused_applies : int;
       (** Bulk applies performed — dirty objects per drain, summed. *)
@@ -70,7 +73,8 @@ type shard = {
       (** Per drain: INC/ADD requests coalesced (the fused-ops-per-
           drain distribution; 0 for drains with no increments). *)
   s_latency : Histogram.t;
-      (** Nanoseconds from I/O-domain enqueue to response encoded. *)
+      (** Nanoseconds from request decoded (one stamp per read
+          syscall) to response encoded. *)
 }
 
 (** Per-event-loop counters; written only by the owning I/O domain.
@@ -85,13 +89,13 @@ type io_loop = {
       (** Connections accepted (all on the accepting loop 0; rejected
           over-[max_conns] accepts count here and in [l_closed]). *)
   mutable l_closed : int;
-  mutable l_busy_replies : int;
   mutable l_protocol_errors : int;
   mutable l_oversized_frames : int;
   mutable l_stats_requests : int;
   mutable l_wakeups : int;
-      (** Wake-pipe bytes drained — producer-side wake() calls
-          observed by this loop. *)
+      (** Wake-pipe bytes drained: accept handoffs from loop 0 and
+          [stop]. Replies never wake a loop — the loop that reads an
+          op also writes its reply. *)
   mutable l_cycles : int;
       (** Event-loop cycles that had at least one ready fd (idle
           timeout cycles are not counted). *)
@@ -109,7 +113,7 @@ type io_loop = {
       (** Connections closed for a version mismatch or a non-HELLO
           first frame. *)
   mutable l_gossip_frames : int;  (** Inbound GOSSIP2 frames. *)
-  mutable l_gossip_entries : int;  (** Entries routed to shard queues. *)
+  mutable l_gossip_entries : int;  (** Entries parked for merging. *)
   mutable l_digest_frames : int;  (** Inbound DIGEST frames. *)
   mutable l_digest_mismatches : int;
       (** Digest entries whose fingerprint or total disagreed with the
@@ -222,7 +226,6 @@ val io_domains : t -> int
 
 val accepted : t -> int
 val closed : t -> int
-val busy_replies : t -> int
 val protocol_errors : t -> int
 val oversized_frames : t -> int
 val stats_requests : t -> int

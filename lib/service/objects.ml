@@ -38,13 +38,13 @@ type impl =
   | I_casmax of Mcore.Mc_baselines.Cas_maxreg.t
 
 (* [pending_delta]/[o_dirty] and [batch_value]/[batch_stamp] are
-   drain-batch scratch, touched only by the owning shard between a
-   queue drain's accumulate and reply phases (Server.exec_batch):
+   drain-batch scratch, touched only under the owning shard's lock
+   between a drain's accumulate and reply phases (Server.exec_batch):
    deferred increments fused into one [apply_pending], and the one
    computed read value every READ of the drain is answered from.
 
    Replication state ([r_*]) is written only by the owning shard —
-   remote merges are routed through the shard queue like any other op
+   remote merges are batched like any other op
    — and read racily by the gossip-sender domain. Every replicated
    quantity is monotone (G-counter slots, maxima), so a torn export is
    a pointwise lower bound of the current state, which gossip merges
@@ -188,7 +188,9 @@ let to_list t = Array.to_list t.objs
    allocation. *)
 module Intern = struct
   let slots = 64
+  let ways = 2
 
+  (* Set [s] is slots [2s] (the newer entry) and [2s + 1]. *)
   type t = {
     in_names : string array;  (* "" = empty slot *)
     in_ids : int array;  (* -1 = empty slot *)
@@ -197,20 +199,30 @@ module Intern = struct
   let create () =
     { in_names = Array.make slots ""; in_ids = Array.make slots (-1) }
 
-  let slot name = Fnv.hash name land (slots - 1)
+  let set_base name = (Fnv.hash name land ((slots / ways) - 1)) * ways
 
-  (* The cached dense id, or -1. A hit costs one FNV pass plus one
-     string compare; both operand streams are independent loads. *)
+  (* The cached dense id, or -1. A hit costs one FNV pass plus at most
+     two string compares; no allocation. *)
   let find_cached t name =
-    let s = slot name in
+    let s = set_base name in
     if String.equal (Array.unsafe_get t.in_names s) name then
       Array.unsafe_get t.in_ids s
+    else if String.equal (Array.unsafe_get t.in_names (s + 1)) name then
+      Array.unsafe_get t.in_ids (s + 1)
     else -1
 
+  (* Insert as the set's newer entry; the older one is evicted. A name
+     already cached keeps its slot. *)
   let store t name id =
-    let s = slot name in
-    t.in_names.(s) <- name;
-    t.in_ids.(s) <- id
+    let s = set_base name in
+    if String.equal t.in_names.(s) name then t.in_ids.(s) <- id
+    else if String.equal t.in_names.(s + 1) name then t.in_ids.(s + 1) <- id
+    else begin
+      t.in_names.(s + 1) <- t.in_names.(s);
+      t.in_ids.(s + 1) <- t.in_ids.(s);
+      t.in_names.(s) <- name;
+      t.in_ids.(s) <- id
+    end
 end
 
 (* ------------------------------------------------------------------ *)

@@ -4,15 +4,16 @@
     plus the exact baselines they are traded off against.
 
     Routing: an object's name hashes to one shard, which owns the
-    object for its lifetime — every INC/READ/WRITE on it executes on
-    that shard's domain with [pid = shard]. Single-shard ownership
-    serialises each object's operations, which makes the accuracy
+    object for its lifetime — every INC/READ/WRITE on it executes
+    under that shard's lock (on whichever I/O loop read the request)
+    with [pid = shard]. Single-shard ownership serialises each
+    object's operations, which makes the accuracy
     self-check exact: at the moment a READ executes there is no
     concurrent increment, so the served value must satisfy the
     k-multiplicative envelope against the debug exact counter, not
     just up to a race. The envelope is still the multicore code path —
     the algorithm instances are created with [n = shards] and run on
-    whatever domain owns the shard.
+    whatever domain holds the shard's lock.
 
     The table is immutable after {!build}; lookups from the I/O domain
     race with nothing. Objects carry a dense id (their index in the
@@ -98,9 +99,10 @@ val iter : (obj -> unit) -> table -> unit
 val to_list : table -> obj list
 (** Registration-order list (allocates; diagnostics and tests). *)
 
-(** A per-connection direct-mapped name -> dense-id cache (64 slots,
-    FNV-indexed). The table is immutable after {!build}, so entries
-    never go stale; a colliding name simply overwrites the slot.
+(** A per-connection name -> dense-id cache: 64 slots as 32 two-way
+    sets, FNV-indexed. The table is immutable after {!build}, so
+    entries never go stale; a name stored into a full set evicts the
+    set's older entry.
     {!Intern.find_cached} is allocation-free; on a miss ([-1]) the
     caller resolves via {!find_id} and installs with
     {!Intern.store}. *)
@@ -109,6 +111,10 @@ module Intern : sig
 
   val slots : int
   (** Cache capacity (64). *)
+
+  val ways : int
+  (** Entries per set (2): names whose hashes agree in the low
+      [log2 (slots / ways)] bits share a set. *)
 
   val create : unit -> t
 
@@ -128,8 +134,8 @@ end
     reordered or replayed without widening the served envelope.
 
     Writer discipline matches the rest of the table: {!merge_delta}
-    runs only on the owning shard (gossip entries are routed to shard
-    queues like any other op); {!export_counter_into}, {!own_total} and
+    runs only under the owning shard's lock (gossip entries are batched
+    like any other op); {!export_counter_into}, {!own_total} and
     {!known} are racy snapshot reads — safe because every slot is
     monotone, so a torn vector is a pointwise lower bound of some
     reachable state. {!mark_exported}/{!last_sent} are written only by
@@ -213,8 +219,8 @@ val confirm_echo : obj -> unit
 (** Close the restart-recovery window after a digest agreed with a
     peer: equal exports prove the peer already holds everything this
     node's own slot withheld, so there is no echo left to wait for.
-    No-op unless {!recovering}. Owning shard only — route it through
-    the shard queue like a merge. *)
+    No-op unless {!recovering}. Owning shard only — batch it like a
+    merge. *)
 
 (** {2 Durability}
 
@@ -271,7 +277,8 @@ val write : obj -> pid:int -> int -> (int, unit) result
 (** {2 Drain-batch fusion}
 
     Owning shard only, between the accumulate and reply phases of one
-    queue drain ({!Server}); see each function's comment in the
+    drain ({!Server}: one loop's batch of the shard's ops, run under
+    the shard lock); see each function's comment in the
     implementation for the linearizability argument. *)
 
 val defer : obj -> via_add:bool -> int -> bool

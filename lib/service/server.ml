@@ -3,9 +3,7 @@ type listen = [ `Unix of string | `Tcp of string * int ]
 type config = {
   shards : int;
   io_domains : int;
-  queue_capacity : int;
   max_batch : int;
-  max_pending : int;
   max_conns : int;
   poller : Poller.choice;
   specs : Objects.spec list;
@@ -27,9 +25,7 @@ type config = {
 let default_config =
   { shards = 2;
     io_domains = 1;
-    queue_capacity = 1024;
     max_batch = 64;
-    max_pending = 256;
     max_conns = 1024;
     poller = Poller.Auto;
     specs = Objects.default_specs ~counters:4 ~k:4;
@@ -45,27 +41,34 @@ let default_config =
     snapshot_interval_ms = 1000;
     wal_every_op = false }
 
-(* Connection state is split by owner: [c_in]/[c_in_len], the flush
-   buffer/cursor and the pause flag belong to the owning I/O loop
-   alone; [c_out] is the only cross-domain buffer and is guarded by
-   [c_out_mu]; [c_pending]/[c_backlog]/[c_has_out] are atomics;
-   [c_alive] is written by the I/O loop and read racily by shards (a
-   stale [true] merely encodes a response that is never flushed).
+(* A shard is what Algorithm 1 needs of a process: a pid (the shard
+   index; [n = shards]) and a lock that serializes that pid's ops, so
+   each object — owned by exactly one shard — keeps a serial history
+   whichever I/O loop runs its ops. [sh_stamp] counts the shard's
+   drains (the [Objects.batch_read] memo key) and [sh_stats] its
+   counters; both are touched only under [sh_mu]. *)
+type shard = {
+  sh_id : int;
+  sh_mu : Mutex.t;
+  sh_stats : Metrics.shard;
+  mutable sh_stamp : int;
+}
 
-   The output path is a double buffer: shards append into [c_out]
-   (a growable Obuf) under the mutex; the I/O loop swaps the two
-   buffers' storage in O(1) under the same mutex and writes [c_flush]
-   to the socket — no [Buffer.to_bytes] copy, zero steady-state
-   allocation once both buffers are warm. [c_backlog] counts enqueued-
-   but-unwritten bytes (incremented at enqueue, decremented at write),
-   so the read-pause watermark check is one atomic load instead of a
-   mutex acquisition per connection per cycle. *)
 (* Until HELLO lands a connection is [Pending]: any other frame is a
    handshake violation. The negotiated role picks the inbound frame
    cap (peers may ship ~1 MiB gossip frames, so [c_in] grows on
    demand) and gates GOSSIP2/DIGEST. *)
 type conn_role = Pending | Client_role | Peer_role
 
+(* Object ops parked in a batch until the cycle runs it. [Reject] and
+   [Done] are phase-1 outcomes: a rejection still owes a reply, a
+   finished merge/echo owes none. *)
+type op = Inc | Add | Read | Write | Merge | Echo | Reject | Done
+
+(* Every field of a connection belongs to its owning I/O loop: the
+   loop parses its requests, runs them and encodes every reply, so the
+   output path is plain loop-local state. [c_out] holds encoded
+   replies, [c_out_off] how much of it the socket has taken. *)
 type conn = {
   c_fd : Unix.file_descr;
   mutable c_in : Bytes.t;
@@ -73,13 +76,9 @@ type conn = {
   mutable c_role : conn_role;
   mutable c_close_after_flush : bool;
       (* set with the BAD_VERSION reply: drain the buffer, then close *)
-  c_out_mu : Mutex.t;
   c_out : Obuf.t;
-  c_flush : Obuf.t;
-  mutable c_flush_off : int;
-  c_backlog : int Atomic.t;
-  c_pending : int Atomic.t;
-  c_has_out : bool Atomic.t;
+  mutable c_out_off : int;
+  mutable c_queued : bool;  (* on [l_outq] *)
   mutable c_alive : bool;
   mutable c_slot : int;  (* poller slot in the home loop; -1 = unregistered *)
   mutable c_paused : bool;  (* read interest off (backlog watermark) *)
@@ -95,42 +94,41 @@ type conn = {
 }
 
 (* One event loop per I/O domain. A connection belongs to exactly one
-   loop for its lifetime (round-robin at accept), so all poller and
-   buffer bookkeeping is loop-local; the only cross-domain doors are
-   the two mutex-guarded queues ([l_flushq] from shards with replies,
-   [l_handoff] from the accepting loop) and the wake pipe. *)
+   loop for its lifetime (round-robin at accept), so all poller,
+   buffer and batch bookkeeping is loop-local; the only cross-domain
+   doors are the accept handoff queue (with the wake pipe, which also
+   carries [stop]) and the shard locks. *)
 and io_loop = {
   l_index : int;
   l_wake_r : Unix.file_descr;
   l_wake_w : Unix.file_descr;
   l_metrics : Metrics.io_loop;
   l_poller : slot_kind Poller.t;
-  l_mu : Mutex.t;  (* guards l_flushq and l_handoff *)
-  mutable l_flushq : conn list;  (* conns that turned flushable *)
+  l_mu : Mutex.t;  (* guards l_handoff *)
   mutable l_handoff : conn list;  (* accepted conns awaiting registration *)
-  mutable l_paused : conn list;  (* loop-local; no lock *)
+  mutable l_paused : conn list;
+  mutable l_outq : conn list;  (* conns with replies to write this cycle *)
+  mutable l_batches : batch array;  (* one per shard; set at start *)
 }
 
 and slot_kind = Wake | Listen | Conn of conn
 
-(* [`Merge] is the gossip plane riding the shard queues: it executes
-   under the same single-writer discipline as every client op, but has
-   no response and no [c_pending] slot (the I/O loop acks the whole
-   frame immediately). [`Echo] is the digest receiver closing an
-   object's restart-recovery window after a fingerprint agreed with a
-   peer — same responseless routing. *)
-type task = {
-  t_conn : conn;
-  t_obj : Objects.obj;
-  t_op :
-    [ `Inc
-    | `Add of int
-    | `Read
-    | `Write of int
-    | `Merge of Persist.Delta.t
-    | `Echo ];
-  t_id : int;
-  t_enq : float;
+(* One loop's pending object ops for one shard, as parallel
+   preallocated arrays: parking an op writes one cell per array and
+   allocates nothing. At most [max_batch] ops; a full batch runs at
+   once. [b_delta] is read for [Merge] only, [b_arg] for [Add]/[Write]. *)
+and batch = {
+  b_shard : shard;
+  b_idle : conn;  (* never-alive filler for empty [b_conn] cells *)
+  mutable b_n : int;
+  b_conn : conn array;
+  b_oid : int array;
+  b_op : op array;
+  b_arg : int array;
+  b_id : int array;
+  b_enq : float array;  (* decode time, for [s_latency] *)
+  b_delta : Persist.Delta.t array;
+  b_dirty : int array;  (* phase-1 scratch: oids with deferred incs *)
 }
 
 type t = {
@@ -141,7 +139,6 @@ type t = {
   metrics : Metrics.t;
   table : Objects.table;
   placement : Placement.t;
-  queues : task Bqueue.t array;
   loops : io_loop array;
   live_conns : int Atomic.t;
   mutable accept_rr : int;  (* accepting loop only *)
@@ -153,7 +150,6 @@ type t = {
   wal : Persist.Wal.t option;  (* the durability plane, if --data-dir *)
   mutable gossip : Gossip.t option;
   mutable io_domain_handles : unit Domain.t array;
-  mutable shard_domains : unit Domain.t array;
   mutable snap_domain : unit Domain.t option;
 }
 
@@ -165,7 +161,7 @@ let placement t = t.placement
 let live_connections t = Atomic.get t.live_conns
 
 (* ------------------------------------------------------------------ *)
-(* Output path (any domain)                                            *)
+(* Wake pipes                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let wake_byte = Bytes.make 1 '!'
@@ -174,48 +170,43 @@ let wake_loop loop =
   try ignore (Unix.write loop.l_wake_w wake_byte 0 1) with
   | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
-(* Wake the gossip sender out of its interval sleep (shard domains,
-   when local growth crosses the k_staleness boundary). The exchange
-   dedups: one pipe byte per sleep, however many shards kick. *)
+(* Wake the gossip sender out of its interval sleep (any loop, when
+   local growth crosses the k_staleness boundary). The exchange
+   dedups: one pipe byte per sleep, however many loops kick. *)
 let kick_gossip t =
   if not (Atomic.exchange t.g_kick true) then
     try ignore (Unix.write t.g_wake_w wake_byte 0 1) with
     | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
-(* Append a response to the connection's write-side buffer; any
-   domain. The [exchange] dedups notifications: only the writer that
-   turns [c_has_out] on pushes the connection onto its home loop's
-   flush queue and pays the wake syscall. *)
-let enqueue_response conn resp =
+(* Append a reply to the connection's output buffer (owning loop
+   only); the first reply of a cycle puts the connection on the
+   loop's write list. A dead connection's replies are dropped. *)
+let reply conn resp =
   if conn.c_alive then begin
-    Mutex.lock conn.c_out_mu;
-    let before = Obuf.length conn.c_out in
     Wire.encode_response_obuf conn.c_out resp;
-    let added = Obuf.length conn.c_out - before in
-    Mutex.unlock conn.c_out_mu;
-    ignore (Atomic.fetch_and_add conn.c_backlog added);
-    if not (Atomic.exchange conn.c_has_out true) then begin
+    if not conn.c_queued then begin
+      conn.c_queued <- true;
       let home = conn.c_home in
-      Mutex.lock home.l_mu;
-      home.l_flushq <- conn :: home.l_flushq;
-      Mutex.unlock home.l_mu;
-      wake_loop home
+      home.l_outq <- conn :: home.l_outq
     end
   end
 
 (* ------------------------------------------------------------------ *)
-(* Shard domains                                                       *)
+(* Batch execution (owning loop, under the shard lock)                 *)
 (* ------------------------------------------------------------------ *)
 
-let finish_task (stats : Metrics.shard) task resp =
-  stats.tasks <- stats.tasks + 1;
-  enqueue_response task.t_conn resp;
-  Histogram.record stats.s_latency
-    (int_of_float ((Unix.gettimeofday () -. task.t_enq) *. 1e9));
-  ignore (Atomic.fetch_and_add task.t_conn.c_pending (-1))
+(* The [b_delta] filler: merges carry their own delta. *)
+let no_delta = Persist.Delta.Max 0
 
-(* Drain-batch fusion. Every task popped in one drain is in flight
-   concurrently — the client pipelined all of them and none has been
+(* Count, answer and time one executed op. *)
+let finish (stats : Metrics.shard) b i now resp =
+  stats.tasks <- stats.tasks + 1;
+  reply b.b_conn.(i) resp;
+  Histogram.record stats.s_latency
+    (int_of_float ((now -. b.b_enq.(i)) *. 1e9))
+
+(* Drain-batch fusion. Every op in one batch is in flight
+   concurrently — its client pipelined it and it has not been
    answered — so the shard may linearize them in any serial order.
    That makes two fusions sound:
    - all INC/ADDs for one object coalesce into a single bulk
@@ -223,21 +214,22 @@ let finish_task (stats : Metrics.shard) task resp =
    - every READ of one object is answered from a single computed
      value ([Objects.batch_read], keyed by the drain stamp) — they
      all linearize at that one read.
-   Replies still go out in arrival order with per-task latency
-   accounting; rejections are handled inline in phase 1 (a WRITE
-   between two READs of a max register in the same drain is concurrent
-   with both, so answering both reads from one value remains
-   linearizable).
+   Replies go out in arrival order with per-op latency accounting. A
+   WRITE between two READs of a max register in the same batch is
+   concurrent with both, so answering both reads from one value
+   remains linearizable.
 
    Durability rides the same drain: phase 1/2 mutations that outgrow
    the envelope stage a WAL record ([check_persist], the disk analogue
    of [check_boundary]); the staged frames are flushed once per drain,
-   after phase 2 and before phase 3 — so every mutation ack (WRITE Ok,
-   deferred for exactly this reason, and INC/ADD) goes out only after
-   its covering record has reached at least the page cache, which is
-   what "no acked op lost beyond the envelope under kill -9" rests
-   on. *)
-let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
+   after phase 2 and before phase 3 encodes any reply — and the socket
+   writes come after the whole batch — so every mutation ack (WRITE
+   Ok and INC/ADD) goes out only after its covering record has reached
+   at least the page cache, which is what "no acked op lost beyond the
+   envelope under kill -9" rests on. *)
+let exec_batch t sh b n =
+  let stats = sh.sh_stats in
+  let pid = sh.sh_id in
   let n_dirty = ref 0 in
   let deferred = ref 0 in
   let clustered = t.cfg.nodes > 1 in
@@ -259,69 +251,57 @@ let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
   (* Phase 1: writes, merges and rejections inline; increments
      accumulate; reads wait for phase 3. *)
   for i = 0 to n - 1 do
-    match batch.(i) with
-    | None -> ()
-    | Some task -> (
-      let id = task.t_id in
-      match task.t_op with
-      | `Merge d ->
-        (* Gossip entry: no response, no c_pending slot. *)
-        if Objects.merge_delta task.t_obj d then begin
-          stats.merge_tasks <- stats.merge_tasks + 1;
-          check_persist task.t_obj
+    let obj = Objects.get t.table b.b_oid.(i) in
+    match b.b_op.(i) with
+    | Merge ->
+      (* Gossip entry: no reply. *)
+      if Objects.merge_delta obj b.b_delta.(i) then begin
+        stats.merge_tasks <- stats.merge_tasks + 1;
+        check_persist obj
+      end;
+      b.b_delta.(i) <- no_delta;
+      b.b_op.(i) <- Done
+    | Echo ->
+      (* A digest agreed with a peer while the object was still in
+         its restart-recovery window: equal exports prove the peer
+         holds everything the withheld own slot would say, so the
+         window can close. Replyless, like a merge. *)
+      Objects.confirm_echo obj;
+      b.b_op.(i) <- Done
+    | Write -> (
+      (* A successful WRITE mutates state, so its Ok waits for phase 3
+         behind the WAL flush. *)
+      match Objects.write obj ~pid b.b_arg.(i) with
+      | Ok _ ->
+        check_boundary obj;
+        check_persist obj
+      | Error () -> b.b_op.(i) <- Reject)
+    | Inc | Add ->
+      let via_add = b.b_op.(i) = Add in
+      let delta = if via_add then b.b_arg.(i) else 1 in
+      if
+        (via_add && (delta < 0 || delta > Objects.max_add_delta))
+        || not (Objects.is_counter_obj obj)
+      then begin
+        let os = Objects.stats obj in
+        os.rejects <- os.rejects + 1;
+        b.b_op.(i) <- Reject
+      end
+      else begin
+        if Objects.defer obj ~via_add delta then begin
+          b.b_dirty.(!n_dirty) <- b.b_oid.(i);
+          incr n_dirty
         end;
-        batch.(i) <- None
-      | `Echo ->
-        (* A digest agreed with a peer while the object was still in
-           its restart-recovery window: equal exports prove the peer
-           holds everything the withheld own slot would say, so the
-           window can close. Responseless, like a merge. *)
-        Objects.confirm_echo task.t_obj;
-        batch.(i) <- None
-      | `Write v -> (
-        (* A successful WRITE mutates state, so its Ok waits for
-           phase 3 behind the WAL flush; a rejection mutates nothing
-           and is answered inline. *)
-        match Objects.write task.t_obj ~pid:shard_id v with
-        | Ok _ ->
-          check_boundary task.t_obj;
-          check_persist task.t_obj
-        | Error () ->
-          finish_task stats task (Wire.Bad_request { id });
-          batch.(i) <- None)
-      | `Inc | `Add _ ->
-        let bad_delta =
-          match task.t_op with
-          | `Add d -> d < 0 || d > Objects.max_add_delta
-          | _ -> false
-        in
-        if bad_delta || not (Objects.is_counter_obj task.t_obj) then begin
-          let os = Objects.stats task.t_obj in
-          os.rejects <- os.rejects + 1;
-          finish_task stats task (Wire.Bad_request { id });
-          batch.(i) <- None
-        end
-        else begin
-          let via_add, delta =
-            match task.t_op with `Add d -> (true, d) | _ -> (false, 1)
-          in
-          if Objects.defer task.t_obj ~via_add delta then begin
-            dirty.(!n_dirty) <- Some task.t_obj;
-            incr n_dirty
-          end;
-          incr deferred
-        end
-      | `Read -> ())
+        incr deferred
+      end
+    | Read | Reject | Done -> ()
   done;
   (* Phase 2: one bulk add per dirty object. *)
   for j = 0 to !n_dirty - 1 do
-    (match dirty.(j) with
-     | Some obj ->
-       Objects.apply_pending obj ~pid:shard_id;
-       check_boundary obj;
-       check_persist obj
-     | None -> ());
-    dirty.(j) <- None
+    let obj = Objects.get t.table b.b_dirty.(j) in
+    Objects.apply_pending obj ~pid;
+    check_boundary obj;
+    check_persist obj
   done;
   stats.fused_applies <- stats.fused_applies + !n_dirty;
   stats.deferred_ops <- stats.deferred_ops + !deferred;
@@ -331,46 +311,76 @@ let exec_batch t shard_id (stats : Metrics.shard) batch n ~stamp ~dirty =
     kick_gossip t
   end;
   (* Group commit: one write(2) for every record this drain staged,
-     before any mutation ack leaves in phase 3. *)
+     before any mutation ack is encoded in phase 3. *)
   (match t.wal with Some wal -> Persist.Wal.flush wal | None -> ());
   (* Phase 3: replies in arrival order. *)
+  let now = Unix.gettimeofday () in
   for i = 0 to n - 1 do
-    match batch.(i) with
-    | None -> ()
-    | Some task ->
-      let id = task.t_id in
-      let resp =
-        match task.t_op with
-        | `Inc | `Add _ | `Write _ -> Wire.Value { id; value = 0 }
-        | `Read ->
-          Wire.Value
-            { id; value = Objects.batch_read task.t_obj ~pid:shard_id ~stamp }
-        | `Merge _ | `Echo -> assert false (* finished in phase 1 *)
-      in
-      finish_task stats task resp;
-      batch.(i) <- None
+    let id = b.b_id.(i) in
+    (match b.b_op.(i) with
+     | Inc | Add | Write -> finish stats b i now (Wire.Value { id; value = 0 })
+     | Read ->
+       let obj = Objects.get t.table b.b_oid.(i) in
+       finish stats b i now
+         (Wire.Value
+            { id; value = Objects.batch_read obj ~pid ~stamp:sh.sh_stamp })
+     | Reject -> finish stats b i now (Wire.Bad_request { id })
+     | Merge | Echo | Done -> ());
+    b.b_conn.(i) <- b.b_idle
   done
 
-let shard_loop t shard_id =
-  let q = t.queues.(shard_id) in
-  let stats = Metrics.shard t.metrics shard_id in
-  let batch = Array.make t.cfg.max_batch None in
-  let dirty = Array.make t.cfg.max_batch None in
-  let stamp = ref 0 in
-  let rec go () =
-    let n = Bqueue.pop_batch q ~max:t.cfg.max_batch batch in
-    if n > 0 then begin
-      stats.batches <- stats.batches + 1;
-      if n > stats.max_batch then stats.max_batch <- n;
-      incr stamp;
-      exec_batch t shard_id stats batch n ~stamp:!stamp ~dirty;
-      go ()
-    end
-  in
-  go ()
+(* Run one loop's batch for one shard: the whole drain — stamp,
+   phases 1-3 — happens under the shard lock, so any loop may run any
+   shard's ops and every object still sees one op sequence from one
+   pid at a time. *)
+let run_batch t b =
+  let n = b.b_n in
+  if n > 0 then begin
+    let sh = b.b_shard in
+    let stats = sh.sh_stats in
+    Mutex.lock sh.sh_mu;
+    sh.sh_stamp <- sh.sh_stamp + 1;
+    stats.batches <- stats.batches + 1;
+    if n > stats.max_batch then stats.max_batch <- n;
+    (match exec_batch t sh b n with
+     | () -> Mutex.unlock sh.sh_mu
+     | exception e ->
+       Mutex.unlock sh.sh_mu;
+       b.b_n <- 0;
+       raise e);
+    b.b_n <- 0
+  end
+
+(* Park an object op in the owning loop's batch for the object's
+   shard; a batch that fills runs at once. *)
+let push t loop conn oid op ~arg ~id ~delta ~enq =
+  let b = loop.l_batches.(Objects.shard_of (Objects.get t.table oid)) in
+  let i = b.b_n in
+  b.b_conn.(i) <- conn;
+  b.b_oid.(i) <- oid;
+  b.b_op.(i) <- op;
+  b.b_arg.(i) <- arg;
+  b.b_id.(i) <- id;
+  b.b_enq.(i) <- enq;
+  b.b_delta.(i) <- delta;
+  b.b_n <- i + 1;
+  if i + 1 = Array.length b.b_id then run_batch t b
+
+let make_batch ~max_batch ~idle sh =
+  { b_shard = sh;
+    b_idle = idle;
+    b_n = 0;
+    b_conn = Array.make max_batch idle;
+    b_oid = Array.make max_batch 0;
+    b_op = Array.make max_batch Done;
+    b_arg = Array.make max_batch 0;
+    b_id = Array.make max_batch 0;
+    b_enq = Array.make max_batch 0.0;
+    b_delta = Array.make max_batch no_delta;
+    b_dirty = Array.make max_batch 0 }
 
 (* ------------------------------------------------------------------ *)
-(* I/O loops                                                           *)
+(* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let close_conn t conn =
@@ -447,7 +457,8 @@ let snapshot_loop t wal dir interval_ms =
       try snapshot_tick t wal dir with Unix.Unix_error _ -> ()
   done
 
-let dispatch t (il : Metrics.io_loop) conn req =
+let dispatch t loop conn req ~enq =
+  let il = loop.l_metrics in
   (* Name -> dense id through the connection's intern cache. The warm
      path (a client re-sending a name it already used) is one FNV pass
      and two array reads — no [Hashtbl.hash], no bucket-chain walk,
@@ -488,31 +499,10 @@ let dispatch t (il : Metrics.io_loop) conn req =
     | None ->
       if oid < Array.length conn.c_peer_map then conn.c_peer_map.(oid) else -1
   in
-  let object_op id name op =
+  let object_op id name op arg =
     let oid = resolve name in
-    if oid < 0 then enqueue_response conn (Wire.Unknown_object { id })
-    else begin
-      let obj = Objects.get t.table oid in
-      if Atomic.get conn.c_pending >= t.cfg.max_pending then begin
-        il.l_busy_replies <- il.l_busy_replies + 1;
-        enqueue_response conn (Wire.Busy { id })
-      end
-      else begin
-        let task =
-          { t_conn = conn;
-            t_obj = obj;
-            t_op = op;
-            t_id = id;
-            t_enq = Unix.gettimeofday () }
-        in
-        if Bqueue.try_push t.queues.(Objects.shard_of obj) task then
-          Atomic.incr conn.c_pending
-        else begin
-          il.l_busy_replies <- il.l_busy_replies + 1;
-          enqueue_response conn (Wire.Busy { id })
-        end
-      end
-    end
+    if oid < 0 then reply conn (Wire.Unknown_object { id })
+    else push t loop conn oid op ~arg ~id ~delta:no_delta ~enq
   in
   match req with
   | Wire.Hello { id; version; role } ->
@@ -527,7 +517,7 @@ let dispatch t (il : Metrics.io_loop) conn req =
       (* Typed rejection, then a clean close once it is flushed. *)
       il.l_hello_rejects <- il.l_hello_rejects + 1;
       conn.c_close_after_flush <- true;
-      enqueue_response conn
+      reply conn
         (Wire.Bad_version { id; version = Wire.protocol_version })
     end
     else if
@@ -541,13 +531,13 @@ let dispatch t (il : Metrics.io_loop) conn req =
          network (see server.mli). *)
       il.l_hello_rejects <- il.l_hello_rejects + 1;
       conn.c_close_after_flush <- true;
-      enqueue_response conn (Wire.Bad_request { id })
+      reply conn (Wire.Bad_request { id })
     end
     else begin
       il.l_hellos <- il.l_hellos + 1;
       conn.c_role <-
         (if role = Wire.role_peer then Peer_role else Client_role);
-      enqueue_response conn
+      reply conn
         (Wire.Hello_ok { id; version = Wire.protocol_version })
     end
   | _ when conn.c_role = Pending ->
@@ -565,11 +555,9 @@ let dispatch t (il : Metrics.io_loop) conn req =
       il.l_gossip_frames <- il.l_gossip_frames + 1;
       (* The compact, unacked push: rebuild each entry's full-width
          delta from its (slot, total) pairs against the local
-         replication topology and route it to the owning shard. A
-         full queue drops the entry — absolute totals make resends
-         (the next dirty push or digest repair) converge anyway. *)
+         replication topology and park it in the owning shard's
+         batch. *)
       let merged = ref 0 in
-      let now = Unix.gettimeofday () in
       List.iter
         (fun (e : Wire.g2_entry) ->
           let oid = resolve_peer_oid e.Wire.g2_oid e.Wire.g2_name in
@@ -603,15 +591,8 @@ let dispatch t (il : Metrics.io_loop) conn req =
                  disagreement, a real protocol violation *)
               il.l_protocol_errors <- il.l_protocol_errors + 1
             | Some d ->
-              let task =
-                { t_conn = conn;
-                  t_obj = obj;
-                  t_op = `Merge d;
-                  t_id = 0;
-                  t_enq = now }
-              in
-              if Bqueue.try_push t.queues.(Objects.shard_of obj) task then
-                incr merged
+              push t loop conn oid Merge ~arg:0 ~id:0 ~delta:d ~enq;
+              incr merged
           end)
         entries;
       il.l_gossip_entries <- il.l_gossip_entries + !merged
@@ -627,9 +608,8 @@ let dispatch t (il : Metrics.io_loop) conn req =
          against the local export and ack back the sender-side ids
          that disagree — the sender answers those with full repair
          exports. Fingerprint equality while the local object still
-         waits for its restart echo closes the window (see [`Echo]). *)
+         waits for its restart echo closes the window (see [Echo]). *)
       let diverged = ref [] in
-      let now = Unix.gettimeofday () in
       List.iter
         (fun (e : Wire.digest_entry) ->
           let oid = resolve_peer_oid e.Wire.d_oid e.Wire.d_name in
@@ -644,19 +624,11 @@ let dispatch t (il : Metrics.io_loop) conn req =
               Objects.mark_dirty obj;
               diverged := e.Wire.d_oid :: !diverged
             end
-            else if Objects.recovering obj then begin
-              let task =
-                { t_conn = conn;
-                  t_obj = obj;
-                  t_op = `Echo;
-                  t_id = 0;
-                  t_enq = now }
-              in
-              ignore (Bqueue.try_push t.queues.(Objects.shard_of obj) task)
-            end
+            else if Objects.recovering obj then
+              push t loop conn oid Echo ~arg:0 ~id:0 ~delta:no_delta ~enq
           end)
         entries;
-      enqueue_response conn (Wire.Digest_ack { id; oids = List.rev !diverged })
+      reply conn (Wire.Digest_ack { id; oids = List.rev !diverged })
     end
   | Wire.Stats { id } ->
     il.l_stats_requests <- il.l_stats_requests + 1;
@@ -664,23 +636,24 @@ let dispatch t (il : Metrics.io_loop) conn req =
     let json = Mcore.Bench_json.to_string (Metrics.to_json t.metrics) in
     (* The registry grows ~440 B per hosted object, so past ~2.3k
        objects it outgrows the response cap. Encoding it would raise
-       under [c_out_mu] and take the I/O loop down; answer with an
-       explicit error instead. *)
+       and take the I/O loop down; answer with an explicit error
+       instead. *)
     if String.length json > Wire.max_stats_json then
-      enqueue_response conn (Wire.Bad_request { id })
-    else enqueue_response conn (Wire.Stats_json { id; json })
-  | Wire.Ping { id } -> enqueue_response conn (Wire.Pong { id })
-  | Wire.Inc { id; name } -> object_op id name `Inc
-  | Wire.Add { id; name; delta } -> object_op id name (`Add delta)
-  | Wire.Read { id; name } -> object_op id name `Read
-  | Wire.Write { id; name; value } -> object_op id name (`Write value)
+      reply conn (Wire.Bad_request { id })
+    else reply conn (Wire.Stats_json { id; json })
+  | Wire.Ping { id } -> reply conn (Wire.Pong { id })
+  | Wire.Inc { id; name } -> object_op id name Inc 0
+  | Wire.Add { id; name; delta } -> object_op id name Add delta
+  | Wire.Read { id; name } -> object_op id name Read 0
+  | Wire.Write { id; name; value } -> object_op id name Write value
 
 (* Parse every complete frame in [c_in] — the read batch — then
    compact the leftover prefix of the next frame to the front. The
    decoder is picked per frame: the HELLO that upgrades a connection
    to [Peer_role] widens the cap for the frames behind it in the same
    read batch. *)
-let parse_frames t (il : Metrics.io_loop) conn =
+let parse_frames t loop conn ~enq =
+  let il = loop.l_metrics in
   let rec go off frames =
     if (not conn.c_alive) || conn.c_close_after_flush then
       (* Closed (or closing after the BAD_VERSION flush): drop any
@@ -693,7 +666,7 @@ let parse_frames t (il : Metrics.io_loop) conn =
       in
       match decode conn.c_in ~off ~len:(conn.c_in_len - off) with
       | Wire.Decoded (req, consumed) ->
-        dispatch t il conn req;
+        dispatch t loop conn req ~enq;
         go (off + consumed) (frames + 1)
       | Wire.Need_more ->
         if conn.c_in_len - off >= Bytes.length conn.c_in then begin
@@ -733,12 +706,13 @@ let parse_frames t (il : Metrics.io_loop) conn =
   in
   go 0 0
 
-(* Per-connection output backlog: bytes enqueued by shards (or the
-   loop itself) and not yet written to the socket. Reading pauses past
-   the watermark, so a client that floods requests without consuming
-   responses bounds its own footprint instead of growing the reply
-   buffer forever. *)
+(* Per-connection output backlog: encoded replies not yet written to
+   the socket. Reading pauses past the watermark, so a client that
+   floods requests without consuming responses bounds its own
+   footprint instead of growing the reply buffer forever. *)
 let out_high_watermark = 1 lsl 18
+
+let backlog conn = Obuf.length conn.c_out - conn.c_out_off
 
 let pause_reads conn =
   if (not conn.c_paused) && conn.c_slot >= 0 then begin
@@ -758,7 +732,7 @@ let recheck_paused loop =
     List.iter
       (fun conn ->
         if conn.c_alive then begin
-          if Atomic.get conn.c_backlog < out_high_watermark then begin
+          if backlog conn < out_high_watermark then begin
             conn.c_paused <- false;
             Poller.set_read loop.l_poller conn.c_slot true
           end
@@ -766,8 +740,11 @@ let recheck_paused loop =
         end)
       paused
 
-let handle_readable t (il : Metrics.io_loop) conn =
-  if Atomic.get conn.c_backlog >= out_high_watermark then pause_reads conn
+(* One read per readable connection; the requests it carries are
+   parsed and parked in the loop's batches, stamped with one clock
+   read for the whole read batch. *)
+let handle_readable t loop conn =
+  if backlog conn >= out_high_watermark then pause_reads conn
   else begin
     let space = Bytes.length conn.c_in - conn.c_in_len in
     if space > 0 then
@@ -775,40 +752,29 @@ let handle_readable t (il : Metrics.io_loop) conn =
       | 0 -> close_conn t conn
       | n ->
         conn.c_in_len <- conn.c_in_len + n;
-        parse_frames t il conn
+        parse_frames t loop conn ~enq:(Unix.gettimeofday ())
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
       | exception Unix.Unix_error _ -> close_conn t conn
   end
 
-(* One coalesced write per flushable connection. When the flush side
-   is drained and shards have buffered more, swap the two buffers'
-   storage under the mutex (O(1), no copy) and push as much as the
-   socket accepts; write interest stays on only while bytes remain. *)
+(* One coalesced write of everything the connection has buffered;
+   write interest stays on only while bytes remain. *)
 let try_flush t conn =
   let loop = conn.c_home in
-  let il = loop.l_metrics in
-  if conn.c_flush_off >= Obuf.length conn.c_flush && Atomic.get conn.c_has_out
-  then begin
-    Atomic.set conn.c_has_out false;
-    Mutex.lock conn.c_out_mu;
-    Obuf.swap conn.c_out conn.c_flush;
-    Obuf.clear conn.c_out;
-    Mutex.unlock conn.c_out_mu;
-    conn.c_flush_off <- 0
-  end;
-  let len = Obuf.length conn.c_flush in
-  if conn.c_flush_off < len then begin
+  let len = Obuf.length conn.c_out in
+  if conn.c_out_off < len then begin
     match
-      Unix.write conn.c_fd (Obuf.bytes conn.c_flush) conn.c_flush_off
-        (len - conn.c_flush_off)
+      Unix.write conn.c_fd (Obuf.bytes conn.c_out) conn.c_out_off
+        (len - conn.c_out_off)
     with
     | n ->
-      conn.c_flush_off <- conn.c_flush_off + n;
-      ignore (Atomic.fetch_and_add conn.c_backlog (-n));
-      Histogram.record il.l_flush_bytes n;
-      let drained =
-        conn.c_flush_off >= len && not (Atomic.get conn.c_has_out)
-      in
+      Histogram.record loop.l_metrics.l_flush_bytes n;
+      let drained = conn.c_out_off + n >= len in
+      if drained then begin
+        Obuf.clear conn.c_out;
+        conn.c_out_off <- 0
+      end
+      else conn.c_out_off <- conn.c_out_off + n;
       if conn.c_close_after_flush && drained then close_conn t conn
       else if conn.c_slot >= 0 then
         Poller.set_write loop.l_poller conn.c_slot (not drained)
@@ -816,10 +782,8 @@ let try_flush t conn =
       if conn.c_slot >= 0 then Poller.set_write loop.l_poller conn.c_slot true
     | exception Unix.Unix_error _ -> close_conn t conn
   end
-  else if conn.c_close_after_flush && not (Atomic.get conn.c_has_out) then
-    close_conn t conn
-  else if conn.c_slot >= 0 then
-    Poller.set_write loop.l_poller conn.c_slot false
+  else if conn.c_close_after_flush then close_conn t conn
+  else if conn.c_slot >= 0 then Poller.set_write loop.l_poller conn.c_slot false
 
 let poller_name t = Poller.name t.loops.(0).l_poller
 
@@ -829,13 +793,9 @@ let make_conn ~home fd =
     c_in_len = 0;
     c_role = Pending;
     c_close_after_flush = false;
-    c_out_mu = Mutex.create ();
     c_out = Obuf.create ();
-    c_flush = Obuf.create ();
-    c_flush_off = 0;
-    c_backlog = Atomic.make 0;
-    c_pending = Atomic.make 0;
-    c_has_out = Atomic.make false;
+    c_out_off = 0;
+    c_queued = false;
     c_alive = true;
     c_slot = -1;
     c_paused = false;
@@ -891,21 +851,17 @@ let rec accept_burst t loop =
   | exception Unix.Unix_error (EINTR, _, _) -> accept_burst t loop
   | exception Unix.Unix_error _ -> ()
 
-let drain_queue loop which =
-  match which with
-  | `Flush ->
-    Mutex.lock loop.l_mu;
-    let q = loop.l_flushq in
-    loop.l_flushq <- [];
-    Mutex.unlock loop.l_mu;
-    q
-  | `Handoff ->
-    Mutex.lock loop.l_mu;
-    let q = loop.l_handoff in
-    loop.l_handoff <- [];
-    Mutex.unlock loop.l_mu;
-    q
+let take_handoff loop =
+  Mutex.lock loop.l_mu;
+  let q = loop.l_handoff in
+  loop.l_handoff <- [];
+  Mutex.unlock loop.l_mu;
+  q
 
+(* One cycle runs every request it read to completion: parse, park
+   in the per-shard batches, run each batch under its shard lock
+   (WAL flush included), then write the replies — no other domain
+   touches the op on the way. *)
 let io_loop_run t loop =
   let poller = loop.l_poller in
   let il = loop.l_metrics in
@@ -942,15 +898,23 @@ let io_loop_run t loop =
         match Poller.data poller slot with
         | Some Wake -> drain_wake ()
         | Some Listen -> accept_burst t loop
-        | Some (Conn conn) -> if conn.c_alive then handle_readable t il conn
+        | Some (Conn conn) -> if conn.c_alive then handle_readable t loop conn
         | None -> () (* closed earlier in this dispatch *)
       done;
-      List.iter (fun conn -> register_conn t loop conn) (drain_queue loop `Handoff);
-      (* Flush connections that turned flushable (including replies the
-         shards produced while we were parsing), then write-ready ones. *)
-      List.iter
-        (fun conn -> if conn.c_alive then try_flush t conn)
-        (drain_queue loop `Flush);
+      List.iter (fun conn -> register_conn t loop conn) (take_handoff loop);
+      for s = 0 to Array.length loop.l_batches - 1 do
+        run_batch t loop.l_batches.(s)
+      done;
+      (* Write this cycle's replies, then drain write-ready backlogs. *)
+      (match loop.l_outq with
+       | [] -> ()
+       | outq ->
+         loop.l_outq <- [];
+         List.iter
+           (fun conn ->
+             conn.c_queued <- false;
+             if conn.c_alive then try_flush t conn)
+           outq);
       for i = 0 to nw - 1 do
         let slot = Poller.ready_write poller i in
         match Poller.data poller slot with
@@ -969,7 +933,7 @@ let io_loop_run t loop =
   Poller.iter poller (fun _slot kind ->
       match kind with Conn conn -> owned := conn :: !owned | Wake | Listen -> ());
   List.iter (fun conn -> close_conn t conn) !owned;
-  List.iter (fun conn -> close_conn t conn) (drain_queue loop `Handoff);
+  List.iter (fun conn -> close_conn t conn) (take_handoff loop);
   Poller.close poller
 
 (* ------------------------------------------------------------------ *)
@@ -993,9 +957,7 @@ let bind_listen ~backlog = function
 let start ?(config = default_config) ~listen () =
   if config.shards < 1 then invalid_arg "Server.start: shards < 1";
   if config.io_domains < 1 then invalid_arg "Server.start: io_domains < 1";
-  if config.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity < 1";
   if config.max_batch < 1 then invalid_arg "Server.start: max_batch < 1";
-  if config.max_pending < 1 then invalid_arg "Server.start: max_pending < 1";
   if config.max_conns < 1 then invalid_arg "Server.start: max_conns < 1";
   if config.nodes < 1 then invalid_arg "Server.start: nodes < 1";
   if config.node_id < 0 || config.node_id >= config.nodes then
@@ -1112,10 +1074,29 @@ let start ?(config = default_config) ~listen () =
           l_metrics = Metrics.io_loop metrics l;
           l_poller = Poller.create ~choice:config.poller ();
           l_mu = Mutex.create ();
-          l_flushq = [];
           l_handoff = [];
-          l_paused = [] })
+          l_paused = [];
+          l_outq = [];
+          l_batches = [||] })
   in
+  let shards =
+    Array.init config.shards (fun s ->
+        Backend.Padded.copy
+          { sh_id = s;
+            sh_mu = Mutex.create ();
+            sh_stats = Metrics.shard metrics s;
+            sh_stamp = 0 })
+  in
+  Array.iter
+    (fun loop ->
+      let idle =
+        { (make_conn ~home:loop loop.l_wake_r) with
+          c_in = Bytes.empty;
+          c_alive = false }
+      in
+      loop.l_batches <-
+        Array.map (make_batch ~max_batch:config.max_batch ~idle) shards)
+    loops;
   let g_wake_r, g_wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock g_wake_r;
   Unix.set_nonblock g_wake_w;
@@ -1127,9 +1108,6 @@ let start ?(config = default_config) ~listen () =
       metrics;
       table;
       placement;
-      queues =
-        Array.init config.shards (fun _ ->
-            Bqueue.create ~capacity:config.queue_capacity);
       loops;
       live_conns = Atomic.make 0;
       accept_rr = 0;
@@ -1141,11 +1119,8 @@ let start ?(config = default_config) ~listen () =
       wal;
       gossip = None;
       io_domain_handles = [||];
-      shard_domains = [||];
       snap_domain = None }
   in
-  t.shard_domains <-
-    Array.init config.shards (fun s -> Domain.spawn (fun () -> shard_loop t s));
   t.io_domain_handles <-
     Array.map (fun loop -> Domain.spawn (fun () -> io_loop_run t loop)) loops;
   (match (wal, config.data_dir) with
@@ -1177,8 +1152,6 @@ let stop t =
     t.gossip <- None;
     Array.iter wake_loop t.loops;
     Array.iter Domain.join t.io_domain_handles;
-    Array.iter Bqueue.close t.queues;
-    Array.iter Domain.join t.shard_domains;
     (* Durability shutdown, after the last possible append: the
        snapshot domain exits within ~50 ms of the stop flag; a final
        snapshot + truncate + synced close makes restart replay-free.

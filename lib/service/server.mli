@@ -1,50 +1,54 @@
 (** The sharded, batched approximate-object server.
 
-    Topology: [io_domains] event-loop domains plus [shards] worker
-    domains. Loop 0 accepts connections and deals them round-robin
+    Topology: [io_domains] event-loop domains and [shards] lock
+    stripes. Loop 0 accepts connections and deals them round-robin
     across the loops; from then on a connection belongs to exactly one
-    loop, which owns its socket, input buffer and flush buffer — no
-    cross-loop locking on the per-connection hot path. Each loop runs
-    a slot-indexed {!Poller} (O(1) interest flips, O(ready) dispatch),
-    drains each readable socket with a single [read] that may carry
-    many frames (the read batch), decodes requests and routes each to
-    the queue of the shard that owns the named object ({!Objects}).
-    Each shard domain blocks on its bounded queue, drains up to
-    [max_batch] tasks per wakeup, executes them against the multicore
-    algorithm instances with [pid = shard], and appends the encoded
-    responses to the connection's output buffer. A shard that makes a
-    connection flushable notifies only the owning loop (flush queue +
-    wake pipe); the loop swaps the connection's double buffer in O(1)
-    and flushes with single coalesced [write]s — no copy, no
-    steady-state allocation.
+    loop, which owns its socket, input buffer and output buffer. Each
+    loop runs a slot-indexed {!Poller} (O(1) interest flips, O(ready)
+    dispatch) and drains each readable socket with a single [read]
+    that may carry many frames (the read batch).
 
-    Backpressure is explicit and bounded everywhere: a connection may
-    have at most [max_pending] requests in flight and each shard queue
-    holds at most [queue_capacity] tasks; a request that would exceed
-    either limit is answered immediately with BUSY and nothing is
-    buffered. A connection whose un-flushed output exceeds a watermark
-    stops being read until the client drains it. A frame whose header
-    exceeds the protocol cap closes the connection before the payload
-    is read.
+    There is one execution path: every op runs to completion on the
+    loop that read it, in the same poll cycle. The loop decodes each
+    object op and parks it in its own preallocated batch for the
+    shard that owns the named object ({!Objects}); a batch holds at
+    most [max_batch] ops and runs as soon as it fills, and every
+    non-empty batch runs after the cycle's reads. Running a batch
+    takes the shard's lock and executes the ops against the multicore
+    algorithm instances with [pid = shard] — fusing INC/ADDs and
+    memoizing READs per drain, staging and flushing the WAL before any
+    mutation ack is encoded — then releases the lock. The replies are
+    written to the sockets after that, with single coalesced
+    [write]s, so no op crosses a domain between its read and its
+    reply.
 
-    STATS and PING are served directly on the owning I/O loop (they
-    touch no object); all object ops flow through the owning shard,
-    which also gives every object a serial execution history — the
-    basis of the exact accuracy self-check recorded in {!Metrics}.
+    A shard is therefore only what Algorithm 1 needs of a process: a
+    pid ([n = shards]) and one mutex that serializes that pid's ops.
+    Any loop may take any shard's lock, so every object keeps a serial
+    execution history for every [shards]/[io_domains] combination —
+    the basis of the exact accuracy self-check recorded in
+    {!Metrics}.
+
+    Backpressure: the server never sheds a request (it never sends
+    BUSY). A connection whose unwritten output exceeds a watermark
+    stops being read until the client drains it, so a client that
+    floods without reading bounds its own footprint while other
+    connections on the same loop keep being served. A frame whose
+    header exceeds the protocol cap closes the connection before the
+    payload is read.
 
     A dead client costs nothing: when a socket errors or EOFs
     (including mid-frame), the connection is marked dead and closed by
-    its owning loop; responses still in flight from shards are encoded
-    into a buffer that is never flushed and the shard stays
-    serviceable for every other connection.
+    its owning loop; its ops already parked in a batch still run, and
+    their replies are dropped.
 
     {b Cluster mode} ([nodes > 1]): every participant derives the same
     consistent-hash ring from [(nodes, replicas)], and this node
     builds only the object slice placed on [node_id]. The first frame
     on every connection must be a HELLO carrying the protocol version
     and a role; peer-role connections unlock GOSSIP2 frames (merged
-    into objects through the owning shard's queue, preserving the
-    single-writer discipline) and the large peer frame cap. A gossip
+    into objects through the same per-shard batches as client ops,
+    preserving the single-writer discipline) and the large peer frame cap. A gossip
     sender domain pushes dirty deltas to [peers] every
     [gossip_interval_ms] — or eagerly, when a shard observes an
     object's own contribution growing past [k_staleness] times the
@@ -74,11 +78,16 @@ type listen =
   | `Tcp of string * int  (** Host and port; port 0 picks a free one. *) ]
 
 type config = {
-  shards : int;  (** Worker domains (>= 1). *)
+  shards : int;
+      (** Algorithm-1 pids and lock stripes (>= 1): objects are
+          spread over the shards by name, and each shard's ops run
+          serialized under its lock with [pid = shard]. Not domains —
+          the [io_domains] loops execute every op. *)
   io_domains : int;  (** Event-loop domains (>= 1). *)
-  queue_capacity : int;  (** Per-shard task-queue bound. *)
-  max_batch : int;  (** Max tasks one shard wakeup drains. *)
-  max_pending : int;  (** Per-connection in-flight request bound. *)
+  max_batch : int;
+      (** Max ops one loop parks per shard before running them (>= 1):
+          the fusion window that {!Objects.max_add_delta}'s overflow
+          argument relies on. *)
   max_conns : int;  (** Accepted connections beyond this are closed. *)
   poller : Poller.choice;
       (** Readiness backend for every event loop ([Auto] = epoll when
@@ -120,8 +129,7 @@ type config = {
 }
 
 val default_config : config
-(** 2 shards, 1 io domain, 1024-task queues, 64-task batches, 256
-    in-flight requests per connection, 1024 connections, [Auto]
+(** 2 shards, 1 io domain, 64-op batches, 1024 connections, [Auto]
     poller, [Objects.default_specs ~counters:4 ~k:4]; standalone
     topology (node 0 of 1, no peers, 50 ms interval, k_staleness 2,
     digests every 32 ticks); durability off
@@ -131,8 +139,8 @@ val default_config : config
 type t
 
 val start : ?config:config -> listen:listen -> unit -> t
-(** Bind, build the object table, spawn the shard and I/O domains and
-    return immediately; the returned handle is ready to serve. Raises
+(** Bind, build the object table, spawn the I/O (and, with a
+    [data_dir], snapshot) domains and return immediately; the returned handle is ready to serve. Raises
     the soft [RLIMIT_NOFILE] toward the hard limit and sizes the
     listen backlog with [max_conns] (clamped to 4096).
     @raise Invalid_argument on a nonsensical config;
@@ -160,8 +168,7 @@ val poller_name : t -> string
     ["select"]) — the [Auto] resolution. *)
 
 val stop : t -> unit
-(** Close the listener and every connection, drain the shard queues,
-    join all domains and unlink a Unix socket path. With a [data_dir],
+(** Close the listener and every connection, join all domains and unlink a Unix socket path. With a [data_dir],
     additionally write a final snapshot, truncate the log and close
     the WAL with an fsync (best-effort, bounded by the ~50 ms snapshot
     wakeup slice) so a clean shutdown restarts replay-free; [kill -9]

@@ -101,6 +101,19 @@ let test_bad_poller_value () =
   Alcotest.(check bool) "stderr lists the valid backends" true
     (contains ~needle:"'auto', 'epoll' or 'select'" err)
 
+(* The shard task queue and the per-connection pending bound are gone
+   with the BUSY path: their flags are unknown options now, rejected
+   at parse time like any other. *)
+let test_removed_serve_flags () =
+  List.iter
+    (fun flag ->
+      let status, _, err = run [ "serve"; flag; "4"; "--duration"; "0.1" ] in
+      Alcotest.(check int) (flag ^ " rejected at parse time") 124
+        (exit_code status);
+      Alcotest.(check bool) "stderr names the option" true
+        (contains ~needle:flag err))
+    [ "--queue"; "--pending" ]
+
 (* A short-lived serve on each explicitly selectable backend: select
    everywhere; epoll must either run (Linux build) or be refused with
    exit 2 and a clear message — never a crash. *)
@@ -144,5 +157,8 @@ let () =
       ("poller flag",
        [ ("bad --poller value exits 2", `Quick, test_bad_poller_value);
          ("serve runs under each selectable backend", `Quick,
-          test_poller_selection) ])
+          test_poller_selection) ]);
+      ("serve flags",
+       [ ("--queue and --pending are unknown", `Quick,
+          test_removed_serve_flags) ])
     ]

@@ -420,6 +420,84 @@ let test_kill9_restart_replays () =
             (Option.value ~default:(-1)
                (scan_int stats2 "acc_violations_total"))))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Byte copy of the flat data dir, as a crash would leave it. *)
+let copy_files ~src ~dst =
+  Array.iter
+    (fun f ->
+      let data = read_file (Filename.concat src f) in
+      let oc = open_out_bin (Filename.concat dst f) in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc data))
+    (Sys.readdir src)
+
+(* Acks leave only after the cycle's WAL flush: once every INC of a
+   pipelined burst is acked, a copy of the live server's data dir must
+   already recover each counter within the envelope — no shutdown
+   path, snapshot or later flush may be needed to cover an ack.
+   Periodic snapshots are off so the copy never races a log
+   rotation. *)
+let test_acks_follow_wal_flush () =
+  with_dir (fun dir ->
+      with_dir (fun copy ->
+          let config =
+            { Service.Server.default_config with
+              data_dir = Some dir;
+              snapshot_interval_ms = 0 }
+          in
+          let srv =
+            Service.Server.start ~config ~listen:(`Unix (dir ^ ".sock")) ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Service.Server.stop srv)
+            (fun () ->
+              let names = [| "c0"; "c1"; "c2"; "c3" |] in
+              let acked = Array.make 4 0 in
+              let c = Service.Client.connect (Service.Server.sockaddr srv) in
+              let total = 5_000 and window = 50 in
+              let id = ref 0 in
+              while !id < total do
+                for j = 0 to window - 1 do
+                  Service.Client.send c
+                    (Service.Wire.Inc
+                       { id = !id + j; name = names.((!id + j) mod 4) })
+                done;
+                Service.Client.flush c;
+                for _ = 1 to window do
+                  match Service.Client.recv c with
+                  | Service.Wire.Value { id = rid; _ } ->
+                    acked.(rid mod 4) <- acked.(rid mod 4) + 1
+                  | _ -> Alcotest.fail "INC not acked"
+                done;
+                id := !id + window
+              done;
+              Service.Client.close c;
+              check Alcotest.int "every INC acked" total
+                (Array.fold_left ( + ) 0 acked);
+              copy_files ~src:dir ~dst:copy;
+              let recovered =
+                (Persist.Recovery.run ~dir:copy).Persist.Recovery.r_state
+              in
+              Array.iteri
+                (fun i name ->
+                  let v =
+                    match List.assoc_opt name recovered with
+                    | Some d -> D.value d
+                    | None -> 0
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: 4 * %d recovered >= %d acked" name v
+                       acked.(i))
+                    true
+                    (4 * v >= acked.(i)))
+                names)))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -440,5 +518,7 @@ let () =
        [ ("warm append+flush is alloc-free", `Quick,
           test_warm_append_no_alloc) ]);
       ("chaos",
-       [ ("kill -9, restart, replay", `Quick, test_kill9_restart_replays) ])
+       [ ("kill -9, restart, replay", `Quick, test_kill9_restart_replays);
+         ("acked INCs are in the live log", `Quick,
+          test_acks_follow_wal_flush) ])
     ]

@@ -120,22 +120,53 @@ let test_intern_cache () =
   let id = O.find_id t "c0" in
   O.Intern.store cache "c0" id;
   check Alcotest.int "hit after store" id (O.Intern.find_cached cache "c0");
-  (* A name mapping to the same slot overwrites (direct-mapped): the
-     old name reverts to a miss, never to a wrong id. *)
-  let slot name = F.hash name land (O.Intern.slots - 1) in
-  let c0_slot = slot "c0" in
-  let collider =
-    let rec go i =
-      let cand = Printf.sprintf "x%d" i in
-      if slot cand = c0_slot then cand else go (i + 1)
+  (* Two-way sets: a second name in c0's set keeps both cached; a
+     third evicts the set's older entry, which reverts to a miss,
+     never to a wrong id. *)
+  let sets = O.Intern.slots / O.Intern.ways in
+  let set name = F.hash name land (sets - 1) in
+  let colliders =
+    let rec go i acc =
+      if List.length acc = 2 then List.rev acc
+      else
+        let cand = Printf.sprintf "x%d" i in
+        go (i + 1) (if set cand = set "c0" then cand :: acc else acc)
     in
-    go 0
+    go 0 []
   in
-  O.Intern.store cache collider 7;
-  check Alcotest.int "collider took the slot" 7
-    (O.Intern.find_cached cache collider);
-  check Alcotest.int "evicted name misses cleanly" (-1)
+  let first = List.nth colliders 0 and second = List.nth colliders 1 in
+  O.Intern.store cache first 7;
+  check Alcotest.int "set-mate cached" 7 (O.Intern.find_cached cache first);
+  check Alcotest.int "c0 survives a set-mate" id
+    (O.Intern.find_cached cache "c0");
+  O.Intern.store cache second 8;
+  check Alcotest.int "newest name cached" 8
+    (O.Intern.find_cached cache second);
+  check Alcotest.int "previous newest kept" 7
+    (O.Intern.find_cached cache first);
+  check Alcotest.int "oldest name evicted cleanly" (-1)
     (O.Intern.find_cached cache "c0")
+
+(* The service's default 7-object set fits the cache without a
+   conflict: one cold pass misses each name once, a second pass hits
+   all of them. *)
+let test_intern_default_set () =
+  let specs = O.default_specs ~counters:4 ~k:4 in
+  let t = build_table specs in
+  let cache = O.Intern.create () in
+  let pass () =
+    List.fold_left
+      (fun hits (sp : O.spec) ->
+        let name = sp.O.name in
+        if O.Intern.find_cached cache name >= 0 then hits + 1
+        else begin
+          O.Intern.store cache name (O.find_id t name);
+          hits
+        end)
+      0 specs
+  in
+  check Alcotest.int "cold pass misses" 0 (pass ());
+  check Alcotest.int "warm pass hits 7/7" 7 (pass ())
 
 (* [Gc.minor_words] itself boxes its float result; any per-lookup
    allocation over the window would blow far past the slack. *)
@@ -209,6 +240,7 @@ let suite =
     ("fnv bit spread", `Quick, test_fnv_bit_spread);
     ("table dense ids", `Quick, test_table_dense_ids);
     ("intern cache", `Quick, test_intern_cache);
+    ("intern cache holds the default set", `Quick, test_intern_default_set);
     ("dense lookup allocates nothing", `Quick, test_dense_lookup_no_alloc);
     ("placement spread", `Quick, test_placement_spread) ]
 

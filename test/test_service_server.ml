@@ -1,8 +1,9 @@
 (* End-to-end tests of the sharded service over a Unix-domain socket:
    correctness of served ops, the k-multiplicative accuracy self-check
-   against the debug exact counter, the STATS op, bounded-queue
-   backpressure, and chaos (clients killed mid-request must leave
-   every shard serviceable). *)
+   against the debug exact counter, the STATS op, the run-to-completion
+   mechanism (no reply wakeups, the shard lock across loops),
+   watermark backpressure, and chaos (clients killed mid-request must
+   leave every shard serviceable). *)
 
 module Srv = Service.Server
 module Cl = Service.Client
@@ -183,8 +184,7 @@ let test_objects_fusion_deterministic () =
     (Zmath.within_k ~k:4 ~exact:43 v3)
 
 let test_pipelined_fusion_burst () =
-  (* max_pending must exceed the burst or the tail gets BUSY replies. *)
-  let config = { Srv.default_config with shards = 1; max_pending = 1_000 } in
+  let config = { Srv.default_config with shards = 1 } in
   with_server ~config (fun srv ->
       let c = Cl.connect (Srv.sockaddr srv) in
       let total = ref 0 in
@@ -203,7 +203,7 @@ let test_pipelined_fusion_burst () =
         | W.Value { id; value } ->
           if id mod 3 = 2 then reads := value :: !reads
           else check Alcotest.int "inc acks with 0" 0 value
-        | W.Busy _ -> Alcotest.fail "unexpected BUSY (pending bound raised)"
+        | W.Busy _ -> Alcotest.fail "unexpected BUSY"
         | _ -> Alcotest.fail "unexpected reply under the burst"
       done;
       (* All ops were concurrently in flight, so any monotone read
@@ -303,16 +303,10 @@ let test_stats_over_cap () =
 (* ------------------------------------------------------------------ *)
 
 let test_backpressure_bounded () =
-  (* A 1-deep shard queue + 1-task batches against a 4000-request
-     pipelined burst: the server must answer every request (BUSY at
-     saturation), never buffer unboundedly, and keep serving after. *)
-  let config =
-    { Srv.default_config with
-      shards = 1;
-      queue_capacity = 1;
-      max_batch = 1;
-      max_pending = 1_000_000 }
-  in
+  (* 1-op batches against a 4000-request pipelined burst: the server
+     must answer every request (never BUSY: it sheds nothing), apply
+     exactly the served increments and keep serving after. *)
+  let config = { Srv.default_config with shards = 1; max_batch = 1 } in
   with_server ~config (fun srv ->
       let c = Cl.connect (Srv.sockaddr srv) in
       let burst = 4_000 in
@@ -328,33 +322,13 @@ let test_backpressure_bounded () =
         | _ -> Alcotest.fail "unexpected reply under burst"
       done;
       check Alcotest.int "every request answered" burst (!ok + !busy);
-      Alcotest.(check bool) "some requests served" true (!ok > 0);
+      check Alcotest.int "no BUSY replies" 0 !busy;
       (* The connection is still fully serviceable afterwards. *)
       Alcotest.(check bool) "ping after burst" true (Cl.ping c);
-      (* Exactly the accepted increments reached the object. *)
+      (* Exactly the served increments reached the object. *)
       check Alcotest.int "served increments counted exactly" !ok
         (obj_stats srv "c0").M.incs;
-      check Alcotest.int "busy replies counted" !busy
-        (M.busy_replies (Srv.metrics srv));
       Cl.close c)
-
-let test_max_pending_bound () =
-  let config = { Srv.default_config with shards = 1; max_pending = 4 } in
-  with_server ~config (fun srv ->
-      let c = Cl.connect (Srv.sockaddr srv) in
-      (* Sequential (closed-loop, window 1) ops never trip the bound. *)
-      for _ = 1 to 50 do
-        ignore (value_exn (Cl.inc c "c0"))
-      done;
-      check Alcotest.int "sequential ops all served" 0
-        (M.busy_replies (Srv.metrics srv));
-      Cl.close c)
-
-(* ------------------------------------------------------------------ *)
-(* Connection lifecycle: churn, max_conns, multi-loop ownership        *)
-(* ------------------------------------------------------------------ *)
-
-let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let raw_connect addr =
   let fd =
@@ -362,6 +336,185 @@ let raw_connect addr =
   in
   Unix.connect fd addr;
   fd
+
+let frame req =
+  let b = Buffer.create 32 in
+  W.encode_request b req;
+  Buffer.to_bytes b
+
+let write_all fd b =
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.write fd b off (Bytes.length b - off))
+  in
+  go 0
+
+(* Read [n] response frames off a blocking socket. *)
+let read_replies fd n =
+  let buf = Bytes.create 65536 in
+  let len = ref 0 and got = ref [] and count = ref 0 in
+  while !count < n do
+    let r = Unix.read fd buf !len (Bytes.length buf - !len) in
+    if r = 0 then Alcotest.fail "server closed the connection";
+    len := !len + r;
+    let rec decode off =
+      match W.decode_response buf ~off ~len:(!len - off) with
+      | W.Decoded (resp, used) ->
+        got := resp :: !got;
+        incr count;
+        decode (off + used)
+      | W.Need_more -> off
+      | W.Oversized _ | W.Malformed _ -> Alcotest.fail "bad reply frame"
+    in
+    let off = decode 0 in
+    Bytes.blit buf off buf 0 (!len - off);
+    len := !len - off
+  done;
+  List.rev !got
+
+(* A client that pipelines INCs and never reads: its writes must stall
+   once the server stops reading it (output past the watermark), well
+   short of the megabytes an unbounded server would swallow, while a
+   second connection on the same loop is still served. Every request
+   the server did take is then answered once the client reads. *)
+let test_flood_without_reading () =
+  let config = { Srv.default_config with shards = 1; io_domains = 1 } in
+  with_server ~config (fun srv ->
+      let addr = Srv.sockaddr srv in
+      let fd = raw_connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          write_all fd
+            (frame
+               (W.Hello
+                  { id = 0; version = W.protocol_version;
+                    role = W.role_client }));
+          (match read_replies fd 1 with
+           | [ W.Hello_ok _ ] -> ()
+           | _ -> Alcotest.fail "expected HELLO_OK");
+          let one = frame (W.Inc { id = 1; name = "c0" }) in
+          let flen = Bytes.length one in
+          let per_chunk = 4096 in
+          let chunk = Bytes.create (flen * per_chunk) in
+          for i = 0 to per_chunk - 1 do
+            Bytes.blit one 0 chunk (i * flen) flen
+          done;
+          Unix.set_nonblock fd;
+          let limit = 64 lsl 20 in
+          (* Write until the socket stays unwritable for 300 ms. *)
+          let rec flood written =
+            if written >= limit then written
+            else
+              let off = written mod Bytes.length chunk in
+              match Unix.write fd chunk off (Bytes.length chunk - off) with
+              | n -> flood (written + n)
+              | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+                let _, w, _ = Unix.select [] [ fd ] [] 0.3 in
+                if w = [] then written else flood written
+          in
+          let written = flood 0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "flood stalled (%d bytes taken)" written)
+            true (written < 16 lsl 20);
+          let other = Cl.connect addr in
+          Alcotest.(check bool) "second connection served" true (Cl.ping other);
+          check Alcotest.int "second connection reads" 0
+            (Cl.read_value other "faa");
+          Cl.close other;
+          Unix.clear_nonblock fd;
+          let sent = written / flen in
+          let replies = read_replies fd sent in
+          check Alcotest.int "every taken request answered" sent
+            (List.length
+               (List.filter (function W.Value _ -> true | _ -> false) replies));
+          check Alcotest.int "each answered INC applied" sent
+            (obj_stats srv "c0").M.incs))
+
+(* ------------------------------------------------------------------ *)
+(* Run to completion                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Window-1 ops on a 1-loop server: every op runs on the loop that read
+   it, so no reply ever wakes the loop (and loop 0 accepts its own
+   connections). Each shard executes exactly the ops on the objects it
+   owns, with one latency sample per op. *)
+let test_no_reply_wakeups () =
+  let config = { Srv.default_config with shards = 2; io_domains = 1 } in
+  with_server ~config (fun srv ->
+      let names = [| "c0"; "c1"; "c2"; "c3"; "faa" |] in
+      let expect = Array.make 2 0 in
+      let shard_of name =
+        Service.Objects.shard_of
+          (Option.get (Service.Objects.find (Srv.table srv) name))
+      in
+      let c = Cl.connect (Srv.sockaddr srv) in
+      for i = 0 to 999 do
+        let name = names.(i mod Array.length names) in
+        (if i mod 3 = 0 then ignore (value_exn (Cl.read_op c name))
+         else ignore (value_exn (Cl.inc c name)));
+        let s = shard_of name in
+        expect.(s) <- expect.(s) + 1
+      done;
+      Cl.close c;
+      let m = Srv.metrics srv in
+      check Alcotest.int "no wakeups" 0 (M.io_loop m 0).M.l_wakeups;
+      for s = 0 to 1 do
+        let sh = M.shard m s in
+        check Alcotest.int (Printf.sprintf "shard %d tasks = ops served" s)
+          expect.(s) sh.M.tasks;
+        check Alcotest.int (Printf.sprintf "shard %d latency samples" s)
+          sh.M.tasks
+          (Service.Histogram.count sh.M.s_latency)
+      done)
+
+(* Four connections dealt over two loops pipeline INC/READ on [faa]
+   and [c0] concurrently, so both loops take the same shard lock: the
+   exact counter must not lose an increment and the self-check must
+   stay clean. *)
+let test_shard_lock_across_loops shards () =
+  let config = { Srv.default_config with shards; io_domains = 2 } in
+  with_server ~config (fun srv ->
+      let addr = Srv.sockaddr srv in
+      let rounds = 100 and window = 16 in
+      let client seed =
+        let c = Cl.connect addr in
+        let incs = ref 0 in
+        for r = 1 to rounds do
+          for j = 0 to window - 1 do
+            let id = (r * window) + j in
+            let name = if (j + seed) mod 2 = 0 then "faa" else "c0" in
+            if j mod 4 = 3 then Cl.send c (W.Read { id; name })
+            else begin
+              Cl.send c (W.Inc { id; name });
+              if name = "faa" then incr incs
+            end
+          done;
+          Cl.flush c;
+          for _ = 1 to window do
+            match Cl.recv c with
+            | W.Value _ -> ()
+            | _ -> failwith "unexpected reply"
+          done
+        done;
+        Cl.close c;
+        !incs
+      in
+      let workers = List.init 4 (fun i -> Domain.spawn (fun () -> client i)) in
+      let total = List.fold_left (fun acc d -> acc + Domain.join d) 0 workers in
+      let c = Cl.connect addr in
+      check Alcotest.int "faa count exact" total (Cl.read_value c "faa");
+      Cl.close c;
+      let m = Srv.metrics srv in
+      check Alcotest.int "no accuracy violations" 0 (M.acc_violations_total m);
+      Alcotest.(check bool) "both loops served" true
+        ((M.io_loop m 0).M.l_cycles > 0 && (M.io_loop m 1).M.l_cycles > 0))
+
+(* ------------------------------------------------------------------ *)
+(* Connection lifecycle: churn, max_conns, multi-loop ownership        *)
+(* ------------------------------------------------------------------ *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_connection_churn poller () =
   let config = { Srv.default_config with poller } in
@@ -465,7 +618,9 @@ let test_multi_io_domain_load poller () =
           (Service.Histogram.count il.M.l_cycle_ns = il.M.l_cycles)
       done;
       check Alcotest.int "owned-connection gauges drained" 0 (M.owned_conns m);
-      Alcotest.(check bool) "shard wakeups reached the loops" true
+      (* Loop 0 hands 6 of the 8 connections to loops 1-3 through
+         their wake pipes; replies never wake a loop. *)
+      Alcotest.(check bool) "accept-handoff wakeups reached the loops" true
         (let total = ref 0 in
          for l = 0 to 3 do
            total := !total + (M.io_loop m l).M.l_wakeups
@@ -565,11 +720,17 @@ let () =
           test_objects_fusion_deterministic);
          ("pipelined burst through the fused drain", `Quick,
           test_pipelined_fusion_burst) ]);
+      ("run to completion",
+       [ ("window-1 ops wake no loop", `Quick, test_no_reply_wakeups);
+         ("shard lock across 2 loops, 1 shard", `Quick,
+          test_shard_lock_across_loops 1);
+         ("shard lock across 2 loops, 2 shards", `Quick,
+          test_shard_lock_across_loops 2) ]);
       ("backpressure",
-       [ ("bounded queue answers BUSY, stays up", `Quick,
+       [ ("burst answered, no BUSY, stays up", `Quick,
           test_backpressure_bounded);
-         ("sequential load never trips pending bound", `Quick,
-          test_max_pending_bound) ]);
+         ("flooder paused, others served", `Quick,
+          test_flood_without_reading) ]);
       ("lifecycle",
        per_poller (fun () ->
            [ ("connection churn leaks no fds", `Quick, test_connection_churn);
