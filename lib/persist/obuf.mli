@@ -1,16 +1,16 @@
 (** Growable output byte buffer with swappable storage — the service's
-    zero-copy alternative to [Buffer.t] on the response flush path.
+    zero-copy alternative to [Buffer.t] on the response flush path and
+    the WAL's staging buffer.
 
     [Buffer.to_bytes] copies the whole contents on every flush cycle;
-    {!swap} instead exchanges the {e storage} of two buffers in O(1)
-    with no allocation, so a connection can keep one buffer on the
-    shard-write side and one on the I/O-flush side and rotate them
-    under its mutex forever. Once both buffers have grown to the
-    steady-state response volume, the enqueue/swap/write cycle
-    allocates zero heap words (asserted by a [Gc.minor_words] test).
+    an [Obuf] hands its storage ({!bytes}) to [write] directly and
+    {!clear}s in place, and {!swap} exchanges the {e storage} of two
+    buffers in O(1) with no allocation. Once warm, an
+    encode/swap/write cycle allocates zero heap words (asserted by a
+    [Gc.minor_words] test).
 
-    Not thread-safe: callers serialize access (the server uses the
-    per-connection output mutex). *)
+    Not thread-safe: callers serialize access (each server connection's
+    buffer belongs to one I/O loop; the WAL holds its mutex). *)
 
 type t
 

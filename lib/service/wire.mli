@@ -199,8 +199,8 @@ val encode_response : Buffer.t -> response -> unit
 
 val encode_response_obuf : Obuf.t -> response -> unit
 (** [encode_response] into an {!Obuf.t} — byte-identical frames, but
-    appending to a swappable buffer so the server's steady-state flush
-    path never copies or allocates. *)
+    appending straight into the connection's output buffer, so the
+    server's flush path never copies. *)
 
 (** {1 Streaming peer-frame builder}
 

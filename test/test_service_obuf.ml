@@ -1,7 +1,7 @@
 (* The zero-copy output path: Obuf growth/swap semantics, byte-for-byte
    parity between the Buffer and Obuf response encoders, and the
-   zero-allocation guarantee of the warm encode -> swap -> write cycle
-   that the server's flush path relies on. *)
+   zero-allocation guarantee of the warm encode -> swap -> write
+   cycle. *)
 
 module W = Service.Wire
 module O = Service.Obuf
