@@ -720,7 +720,7 @@ let () =
           test_objects_fusion_deterministic);
          ("pipelined burst through the fused drain", `Quick,
           test_pipelined_fusion_burst) ]);
-      ("run to completion",
+      ("completion",
        [ ("window-1 ops wake no loop", `Quick, test_no_reply_wakeups);
          ("shard lock across 2 loops, 1 shard", `Quick,
           test_shard_lock_across_loops 1);
