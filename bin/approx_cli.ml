@@ -429,7 +429,7 @@ let backends_cmd =
 (* bench subcommand                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_bench trials warmup ops domains out smoke check_floor =
+let run_bench trials warmup ops out smoke check_floor =
   let cfg =
     if smoke then { Perf.Pipeline.smoke_config with out_path = out }
     else
@@ -437,10 +437,6 @@ let run_bench trials warmup ops domains out smoke check_floor =
         trials;
         warmup_trials = warmup;
         ops_per_domain = ops;
-        domains =
-          (match domains with
-           | [] -> Perf.Pipeline.default_config.domains
-           | ds -> ds);
         (* Full runs put the scale-sweep server in its own process so
            the 10k-connection cells don't split one RLIMIT_NOFILE
            budget between server and loadgen. *)
@@ -448,9 +444,8 @@ let run_bench trials warmup ops domains out smoke check_floor =
         out_path = out }
   in
   if cfg.trials < 1 || cfg.warmup_trials < 0 || cfg.ops_per_domain < 1
-     || List.exists (fun d -> d < 1) cfg.domains
   then begin
-    prerr_endline "bench: trials/ops/domains must be positive";
+    prerr_endline "bench: trials/ops must be positive";
     2
   end
   else begin
@@ -491,14 +486,8 @@ let bench_cmd =
     Arg.(value & opt int 100_000
          & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per domain per trial.")
   in
-  let domains_arg =
-    Arg.(value & opt (list int) []
-         & info [ "domains" ] ~docv:"D,D,..."
-             ~doc:"Domain counts to sweep (default: 1,2 plus powers of \
-                   two up to the recognized core count).")
-  in
   let out_arg =
-    Arg.(value & opt string "BENCH_10.json"
+    Arg.(value & opt string Perf.Pipeline.default_config.out_path
          & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
   in
   let smoke_arg =
@@ -515,10 +504,10 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run the multicore benchmark pipeline and write a BENCH_*.json \
+       ~doc:"Run the benchmark pipeline and write a BENCH_*.json \
              performance record")
-    Term.(const run_bench $ trials_arg $ warmup_arg $ ops_arg $ domains_arg
-          $ out_arg $ smoke_arg $ check_floor_arg)
+    Term.(const run_bench $ trials_arg $ warmup_arg $ ops_arg $ out_arg
+          $ smoke_arg $ check_floor_arg)
 
 (* ------------------------------------------------------------------ *)
 (* service subcommands: serve / loadgen / stats                        *)
@@ -606,20 +595,6 @@ let parse_peers s =
     if List.exists Option.is_none parsed then None
     else Some (List.map Option.get parsed)
 
-(* --fsync never | interval-ms:N | every-n-records:N *)
-let parse_fsync s =
-  if s = "never" then Some Persist.Wal.Never
-  else
-    match String.index_opt s ':' with
-    | None -> None
-    | Some colon ->
-      let key = String.sub s 0 colon in
-      let v = String.sub s (colon + 1) (String.length s - colon - 1) in
-      (match (key, int_of_string_opt v) with
-       | "interval-ms", Some n when n >= 1 -> Some (Persist.Wal.Interval_ms n)
-       | "every-n-records", Some n when n >= 1 -> Some (Persist.Wal.Every_n n)
-       | _ -> None)
-
 let run_serve shards io_domains max_batch max_conns
     poller unix tcp counters k duration node_id nodes replicas
     gossip_interval_ms k_staleness digest_interval_ticks peers_spec data_dir fsync_spec snapshot_interval_ms =
@@ -645,7 +620,7 @@ let run_serve shards io_domains max_batch max_conns
   end
   else if not (check_poller "serve" poller) then 2
   else begin
-    match parse_fsync fsync_spec with
+    match Persist.Wal.policy_of_string fsync_spec with
     | None ->
       Printf.eprintf
         "serve: malformed --fsync %S (expected never, interval-ms:N or \
@@ -677,8 +652,7 @@ let run_serve shards io_domains max_batch max_conns
         peers;
         data_dir = (if data_dir = "" then None else Some data_dir);
         fsync;
-        snapshot_interval_ms;
-        wal_every_op = false }
+        snapshot_interval_ms }
     in
     let listen =
       match tcp with
@@ -755,7 +729,7 @@ let serve_cmd =
                    over shards by name, each shard's ops run under its \
                    lock (not worker domains).")
   in
-  let io_domains_arg =
+  let io_loops_arg =
     Arg.(value & opt int 1
          & info [ "io-domains" ] ~docv:"D"
              ~doc:"Event-loop domains; connections are dealt to them \
@@ -841,7 +815,7 @@ let serve_cmd =
        ~doc:"Host approximate objects behind the binary wire protocol \
              (sharded multi-loop server with built-in metrics and \
              optional delta-gossip clustering)")
-    Term.(const run_serve $ shards_arg $ io_domains_arg
+    Term.(const run_serve $ shards_arg $ io_loops_arg
           $ batch_arg $ max_conns_arg $ poller_arg $ unix_arg
           $ tcp_arg $ counters_arg $ k_arg $ duration_arg $ node_id_arg
           $ nodes_arg $ replicas_arg $ gossip_arg $ k_staleness_arg
@@ -1233,5 +1207,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.11.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.12.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

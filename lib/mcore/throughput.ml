@@ -73,10 +73,7 @@ let measure ?(warmup_trials = 1) ?(trials = 3) ~domains ~ops_per_domain ~worker
 
 type mix = { mix_label : string; read_permille : int }
 
-let inc_heavy = { mix_label = "inc-heavy"; read_permille = 50 }
 let read_heavy = { mix_label = "read-heavy"; read_permille = 950 }
-let mixed = { mix_label = "mixed"; read_permille = 500 }
-let mixes = [ inc_heavy; mixed; read_heavy ]
 
 (* 389 is coprime with 1000, so reads are spread evenly through each
    window of 1000 operations instead of clustering at its start. *)
@@ -88,14 +85,9 @@ let mixed_worker mix ~inc ~read ~pid ~op_index =
 (* Domain sweep                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let sweep_domains ?(max_domains = 8) ?cores () =
+let sweep_domains ?(max_domains = 8) () =
   if max_domains < 1 then invalid_arg "Throughput.sweep_domains";
-  let recommended =
-    match cores with
-    | Some c when c >= 1 -> c
-    | Some _ -> invalid_arg "Throughput.sweep_domains: cores < 1"
-    | None -> Domain.recommended_domain_count ()
-  in
+  let recommended = Domain.recommended_domain_count () in
   let rec doublings d acc =
     if d > max_domains || d > recommended then List.rev acc
     else doublings (2 * d) (d :: acc)

@@ -52,17 +52,8 @@ val measure :
 
 type mix = { mix_label : string; read_permille : int }
 
-val inc_heavy : mix
-(** 95% increments / 5% reads. *)
-
 val read_heavy : mix
 (** 5% increments / 95% reads. *)
-
-val mixed : mix
-(** 50/50. *)
-
-val mixes : mix list
-(** [[inc_heavy; mixed; read_heavy]]. *)
 
 val mixed_worker :
   mix ->
@@ -76,11 +67,9 @@ val mixed_worker :
 
 (** {2 Domain sweep} *)
 
-val sweep_domains : ?max_domains:int -> ?cores:int -> unit -> int list
+val sweep_domains : ?max_domains:int -> unit -> int list
 (** Domain counts to benchmark: always [1; 2] (even on a single-core
     host, where extra domains time-slice), then powers of two up to
-    [min max_domains cores]. [cores] defaults to
-    [Domain.recommended_domain_count ()] — pass an override when the
-    runtime under-reports the host (see [Perf.Pipeline.detect_cores]).
+    [min max_domains (Domain.recommended_domain_count ())].
     [max_domains] defaults to 8.
-    @raise Invalid_argument if [max_domains < 1] or [cores < 1]. *)
+    @raise Invalid_argument if [max_domains < 1]. *)

@@ -1,21 +1,12 @@
 module J = Mcore.Bench_json
 
-type service_mix = {
-  sm_label : string;
-  sm_read_permille : int;
-  sm_add_permille : int;
-  sm_add_delta : int;
-}
-
 type config = {
   trials : int;
   warmup_trials : int;
   ops_per_domain : int;
-  domains : int list;
   sim_n : int;
   sim_k : int;
   sim_ops_per_process : int;
-  fastpath_batch_sizes : int list;
   mlp_cells : (string * int * int) list;
       (* (label, objects, m) working-set sweep of the walk-vs-flat
          memory-level-parallelism cells: [objects] tree max registers
@@ -27,15 +18,6 @@ type config = {
       (* random-value writes per 1000 ops in the mlp cells (the rest
          are reads); writes keep the registers' max paths moving so
          reads do not settle on one immutable spine *)
-  service_shards : int list;
-  service_pipeline : int list;
-  service_mixes : service_mix list;
-  service_connections : int;
-  service_ops_per_connection : int;
-  service_io_domains : int list;
-  service_io_conns : int list;
-  service_io_shards : int list;
-  service_io_ops_per_connection : int;
   service_scale_conns : int list;  (* epoll cells of the big sweep *)
   service_scale_select_conns : int list;  (* select contrast cells *)
   service_scale_ops_per_connection : int;
@@ -57,8 +39,6 @@ type config = {
       (* ops per connection of the node-kill chaos cell (3 nodes,
          2 replicas, fastest gossip); 0 skips the chaos cell. *)
   service_durability_connections : int;
-  service_durability_ops_per_connection : int;
-      (* the fsync-ablation cells of the durability plane *)
   service_durability_chaos_ops : int;
       (* ops per connection of the kill -9 recovery cell (subprocess
          server; skipped without [service_scale_server_exe]); 0 skips. *)
@@ -106,31 +86,13 @@ let detect_cores () =
          { raw_cores = raw; effective_cores = max raw c; cores_source = "nproc" }
        | _ -> { raw_cores = raw; effective_cores = raw; cores_source = "runtime" })
 
-let default_mixes =
-  [ { sm_label = "mixed";
-      sm_read_permille = 200;
-      sm_add_permille = 0;
-      sm_add_delta = 16 };
-    { sm_label = "read-heavy";
-      sm_read_permille = 950;
-      sm_add_permille = 0;
-      sm_add_delta = 16 };
-    { sm_label = "add-heavy";
-      sm_read_permille = 100;
-      sm_add_permille = 300;
-      sm_add_delta = 16 } ]
-
 let default_config =
   { trials = 5;
     warmup_trials = 1;
     ops_per_domain = 100_000;
-    domains =
-      Mcore.Throughput.sweep_domains ~max_domains:8
-        ~cores:(detect_cores ()).effective_cores ();
     sim_n = 16;
     sim_k = 4;
     sim_ops_per_process = 2048;
-    fastpath_batch_sizes = [ 1; 16; 256; 4096 ];
     (* Boxed-layout footprint per cell: objects * 2^(ceil_log2 m + 1)
        nodes * 144 B/node (a 136 B padded box plus its pointer slot) —
        72 MiB / 576 MiB / 1.1 GiB across the three cells, walking the
@@ -146,15 +108,6 @@ let default_config =
         ("llc-edge", 1024, 1 lsl 11);
         ("llc-exceeding", 1024, 1 lsl 12) ];
     mlp_write_permille = 50;
-    service_shards = [ 1; 2; 4 ];
-    service_pipeline = [ 1; 8; 32 ];
-    service_mixes = default_mixes;
-    service_connections = 4;
-    service_ops_per_connection = 10_000;
-    service_io_domains = [ 1; 2; 4 ];
-    service_io_conns = [ 16; 64 ];
-    service_io_shards = [ 1; 4 ];
-    service_io_ops_per_connection = 1_000;
     service_scale_conns = [ 1_000; 4_000; 10_000 ];
     service_scale_select_conns = [ 1_000; 4_000 ];
     service_scale_ops_per_connection = 100;
@@ -172,40 +125,20 @@ let default_config =
     service_comms_ops_per_connection = 5_000;
     service_comms_heal_diverged = [ 1; 4 ];
     service_durability_connections = 4;
-    service_durability_ops_per_connection = 10_000;
     (* Sized so the 0.25 s SIGKILL lands mid-load on this host (~0.3 s
        of ops would finish before a later kill). *)
     service_durability_chaos_ops = 150_000;
-    out_path = "BENCH_10.json" }
+    out_path = "BENCH_11.json" }
 
 let smoke_config =
   { trials = 3;
     warmup_trials = 0;
     ops_per_domain = 500;
-    domains = [ 1; 2 ];
     sim_n = 4;
     sim_k = 2;
     sim_ops_per_process = 64;
-    fastpath_batch_sizes = [ 1; 16 ];
     mlp_cells = [ ("smoke", 2, 1 lsl 8) ];
     mlp_write_permille = 50;
-    service_shards = [ 2 ];
-    service_pipeline = [ 1; 8 ];
-    service_mixes =
-      [ { sm_label = "mixed";
-          sm_read_permille = 200;
-          sm_add_permille = 0;
-          sm_add_delta = 16 };
-        { sm_label = "add-heavy";
-          sm_read_permille = 100;
-          sm_add_permille = 300;
-          sm_add_delta = 16 } ];
-    service_connections = 2;
-    service_ops_per_connection = 300;
-    service_io_domains = [ 1; 2 ];
-    service_io_conns = [ 2 ];
-    service_io_shards = [ 1 ];
-    service_io_ops_per_connection = 200;
     service_scale_conns = (if Service.Poller.epoll_available then [ 2 ] else []);
     service_scale_select_conns = [ 2 ];
     service_scale_ops_per_connection = 100;
@@ -221,48 +154,12 @@ let smoke_config =
     service_comms_ops_per_connection = 500;
     service_comms_heal_diverged = [ 1; 4 ];
     service_durability_connections = 2;
-    service_durability_ops_per_connection = 300;
     service_durability_chaos_ops = 5_000;
     out_path = Filename.concat (Filename.get_temp_dir_name ()) "BENCH_smoke.json" }
 
 (* ------------------------------------------------------------------ *)
-(* Throughput measurements                                             *)
+(* Memory-level parallelism: walk vs flat tree-maxreg layouts          *)
 (* ------------------------------------------------------------------ *)
-
-(* Fresh object per measurement so trials of one configuration never see
-   state accumulated under another object/mix/domain-count. *)
-let counter_objects ~domains =
-  let k = max 2 (Zmath.ceil_sqrt domains) in
-  [ ("kcounter",
-     fun () ->
-       let kc = Mcore.Mc_kcounter.create ~n:domains ~k () in
-       ((fun ~pid -> Mcore.Mc_kcounter.increment kc ~pid),
-        fun ~pid -> ignore (Mcore.Mc_kcounter.read_fast kc ~pid)));
-    ("faa",
-     fun () ->
-       let c = Mcore.Mc_baselines.Faa_counter.create () in
-       ((fun ~pid:_ -> Mcore.Mc_baselines.Faa_counter.increment c),
-        fun ~pid:_ -> ignore (Mcore.Mc_baselines.Faa_counter.read c)));
-    ("collect",
-     fun () ->
-       let c = Mcore.Mc_baselines.Collect_counter.create ~n:domains in
-       ((fun ~pid -> Mcore.Mc_baselines.Collect_counter.increment c ~pid),
-        fun ~pid:_ -> ignore (Mcore.Mc_baselines.Collect_counter.read c))) ]
-
-let maxreg_objects ~domains =
-  [ ("kmaxreg",
-     fun () ->
-       let mr = Mcore.Mc_kmaxreg.create ~m:(1 lsl 30) ~k:2 () in
-       ((fun ~pid ~op_index ->
-          Mcore.Mc_kmaxreg.write mr ((op_index * domains) + pid + 1)),
-        fun ~pid:_ ~op_index:_ -> ignore (Mcore.Mc_kmaxreg.read mr)));
-    ("cas-loop",
-     fun () ->
-       let mr = Mcore.Mc_baselines.Cas_maxreg.create () in
-       ((fun ~pid ~op_index ->
-          Mcore.Mc_baselines.Cas_maxreg.write mr
-            ((op_index * domains) + pid + 1)),
-        fun ~pid:_ ~op_index:_ -> ignore (Mcore.Mc_baselines.Cas_maxreg.read mr))) ]
 
 let stats_fields (s : Mcore.Throughput.stats) =
   [ ("domains", J.Int s.s_domains);
@@ -271,144 +168,6 @@ let stats_fields (s : Mcore.Throughput.stats) =
     ("ops_per_sec_min", J.Float s.s_min_ops_per_sec);
     ("ops_per_sec_median", J.Float s.s_median_ops_per_sec);
     ("ops_per_sec_max", J.Float s.s_max_ops_per_sec) ]
-
-let counter_throughput cfg =
-  List.concat_map
-    (fun domains ->
-      List.concat_map
-        (fun (label, make) ->
-          List.map
-            (fun (mix : Mcore.Throughput.mix) ->
-              let inc, read = make () in
-              let worker =
-                Mcore.Throughput.mixed_worker mix ~inc ~read
-              in
-              let stats =
-                Mcore.Throughput.measure ~warmup_trials:cfg.warmup_trials
-                  ~trials:cfg.trials ~domains
-                  ~ops_per_domain:cfg.ops_per_domain ~worker ()
-              in
-              J.Obj
-                (("object", J.Str label)
-                 :: ("workload", J.Str mix.mix_label)
-                 :: stats_fields stats))
-            Mcore.Throughput.mixes)
-        (counter_objects ~domains))
-    cfg.domains
-
-let maxreg_throughput cfg =
-  List.concat_map
-    (fun domains ->
-      List.map
-        (fun (label, make) ->
-          let write, _read = make () in
-          let stats =
-            Mcore.Throughput.measure ~warmup_trials:cfg.warmup_trials
-              ~trials:cfg.trials ~domains ~ops_per_domain:cfg.ops_per_domain
-              ~worker:(fun ~pid ~op_index -> write ~pid ~op_index)
-              ()
-          in
-          J.Obj
-            (("object", J.Str label)
-             :: ("workload", J.Str "write-only")
-             :: stats_fields stats))
-        (maxreg_objects ~domains))
-    cfg.domains
-
-(* ------------------------------------------------------------------ *)
-(* Fastpath ablation: cached reads and batched increments              *)
-(* ------------------------------------------------------------------ *)
-
-(* Same mixes as counter_throughput, but each (mix, domains) cell is
-   run twice on the k-counter: once through the plain collect-style
-   [read] and once through the watermark-validated [read_fast], so the
-   record carries the ablation rather than a before/after diff across
-   revisions. The cache hit/miss counters are summed over pids after
-   the measurement (warmup included — they are reported as a rate). *)
-let fastpath_read_ablation cfg =
-  List.concat_map
-    (fun domains ->
-      let k = max 2 (Zmath.ceil_sqrt domains) in
-      List.concat_map
-        (fun (mix : Mcore.Throughput.mix) ->
-          List.map
-            (fun (variant, cached) ->
-              let kc = Mcore.Mc_kcounter.create ~n:domains ~k () in
-              let inc ~pid = Mcore.Mc_kcounter.increment kc ~pid in
-              let read ~pid =
-                if cached then ignore (Mcore.Mc_kcounter.read_fast kc ~pid)
-                else ignore (Mcore.Mc_kcounter.read kc ~pid)
-              in
-              let worker = Mcore.Throughput.mixed_worker mix ~inc ~read in
-              let stats =
-                Mcore.Throughput.measure ~warmup_trials:cfg.warmup_trials
-                  ~trials:cfg.trials ~domains
-                  ~ops_per_domain:cfg.ops_per_domain ~worker ()
-              in
-              let hits = ref 0 and misses = ref 0 in
-              for pid = 0 to domains - 1 do
-                hits := !hits + Mcore.Mc_kcounter.fast_hits kc ~pid;
-                misses := !misses + Mcore.Mc_kcounter.fast_misses kc ~pid
-              done;
-              J.Obj
-                (("object", J.Str "kcounter")
-                 :: ("variant", J.Str variant)
-                 :: ("workload", J.Str mix.mix_label)
-                 :: stats_fields stats
-                 @ [ ("cache_hits", J.Int !hits);
-                     ("cache_misses", J.Int !misses) ]))
-            [ ("uncached", false); ("cached", true) ])
-        Mcore.Throughput.mixes)
-    cfg.domains
-
-(* Batched increments: every op is one [add batch], so increments/sec =
-   ops/sec x batch. The faa baseline gets the same treatment (a single
-   fetch-and-add of [batch]) to keep the comparison honest. *)
-let fastpath_inc_batching cfg =
-  List.concat_map
-    (fun domains ->
-      let k = max 2 (Zmath.ceil_sqrt domains) in
-      List.concat_map
-        (fun batch ->
-          let cells =
-            [ ("kcounter",
-               fun () ->
-                 let kc = Mcore.Mc_kcounter.create ~n:domains ~k () in
-                 fun ~pid -> Mcore.Mc_kcounter.add kc ~pid batch);
-              ("faa",
-               fun () ->
-                 let c = Mcore.Mc_baselines.Faa_counter.create () in
-                 fun ~pid:_ -> Mcore.Mc_baselines.Faa_counter.add c batch) ]
-          in
-          List.map
-            (fun (label, make) ->
-              let add = make () in
-              let stats =
-                Mcore.Throughput.measure ~warmup_trials:cfg.warmup_trials
-                  ~trials:cfg.trials ~domains
-                  ~ops_per_domain:cfg.ops_per_domain
-                  ~worker:(fun ~pid ~op_index:_ -> add ~pid)
-                  ()
-              in
-              let b = float_of_int batch in
-              J.Obj
-                (("object", J.Str label)
-                 :: ("batch", J.Int batch)
-                 :: stats_fields stats
-                 @ [ ("increments_per_sec_median",
-                      J.Float (stats.s_median_ops_per_sec *. b)) ]))
-            cells)
-        cfg.fastpath_batch_sizes)
-    cfg.domains
-
-let fastpath cfg =
-  J.Obj
-    [ ("read_ablation", J.List (fastpath_read_ablation cfg));
-      ("inc_batching", J.List (fastpath_inc_batching cfg)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Memory-level parallelism: walk vs flat tree-maxreg layouts          *)
-(* ------------------------------------------------------------------ *)
 
 (* The flat layout under test: the AACH switch tree over the atomic
    backend's contiguous register block — stride-1 siblings, the read
@@ -586,113 +345,7 @@ let mlp cfg =
            ("all_finals_agree", J.Bool all_agree) ]) ]
 
 (* ------------------------------------------------------------------ *)
-(* Service layer: end-to-end throughput through the wire protocol      *)
-(* ------------------------------------------------------------------ *)
-
-(* Each cell starts a fresh server on a private Unix socket, drives it
-   with the closed-loop load generator and records throughput plus
-   latency percentiles; the accuracy self-check counter doubles as an
-   end-to-end correctness gate for the benchmark itself. The fused-op
-   counters come from the same metrics registry and quantify how much
-   work the drain-batch fast path absorbed. *)
-let service_cell cfg ~shards ~pipeline ~(mix : service_mix) ~zipf ~label =
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "approx_bench_%d_%d_%d_%s.sock" (Unix.getpid ()) shards
-         pipeline label)
-  in
-  let config = { Service.Server.default_config with shards } in
-  let srv = Service.Server.start ~config ~listen:(`Unix path) () in
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Service.Server.stop srv)
-      (fun () ->
-        let lg =
-          { Service.Loadgen.default_config with
-            connections = cfg.service_connections;
-            ops_per_connection = cfg.service_ops_per_connection;
-            pipeline;
-            read_permille = mix.sm_read_permille;
-            add_permille = mix.sm_add_permille;
-            add_delta = mix.sm_add_delta;
-            zipf_s = zipf;
-            seed = 42 }
-        in
-        let r =
-          Service.Loadgen.run ~addrs:[ Service.Server.sockaddr srv ] lg
-        in
-        let m = Service.Server.metrics srv in
-        let fused = ref 0 and deferred = ref 0 in
-        for s = 0 to shards - 1 do
-          let sh = Service.Metrics.shard m s in
-          fused := !fused + sh.Service.Metrics.fused_applies;
-          deferred := !deferred + sh.Service.Metrics.deferred_ops
-        done;
-        let memo_hits =
-          List.fold_left
-            (fun acc (o : Service.Metrics.obj) ->
-              acc + o.Service.Metrics.batch_read_hits)
-            0
-            (Service.Metrics.objects m)
-        in
-        (r, Service.Metrics.acc_violations_total m, !fused, !deferred,
-         memo_hits))
-  in
-  let lg_r, acc, fused, deferred, memo_hits = r in
-  J.Obj
-    [ ("shards", J.Int shards);
-      ("pipeline", J.Int pipeline);
-      ("mix", J.Str label);
-      ("read_permille", J.Int mix.sm_read_permille);
-      ("add_permille", J.Int mix.sm_add_permille);
-      ("add_delta", J.Int mix.sm_add_delta);
-      ("zipf_s", J.Float zipf);
-      ("connections", J.Int cfg.service_connections);
-      ("ops_per_connection", J.Int cfg.service_ops_per_connection);
-      ("ok", J.Int lg_r.Service.Loadgen.ok);
-      ("busy", J.Int lg_r.Service.Loadgen.busy);
-      ("errors", J.Int lg_r.Service.Loadgen.errors);
-      ("ops_per_sec", J.Float lg_r.Service.Loadgen.ops_per_sec);
-      ("p50_ns", J.Int lg_r.Service.Loadgen.p50_ns);
-      ("p95_ns", J.Int lg_r.Service.Loadgen.p95_ns);
-      ("p99_ns", J.Int lg_r.Service.Loadgen.p99_ns);
-      ("max_ns", J.Int lg_r.Service.Loadgen.max_ns);
-      ("fused_applies", J.Int fused);
-      ("deferred_ops", J.Int deferred);
-      ("batch_read_hits", J.Int memo_hits);
-      ("acc_violations", J.Int acc) ]
-
-let service_throughput cfg =
-  let matrix =
-    List.concat_map
-      (fun shards ->
-        List.concat_map
-          (fun pipeline ->
-            List.map
-              (fun mix ->
-                service_cell cfg ~shards ~pipeline ~mix ~zipf:0.0
-                  ~label:mix.sm_label)
-              cfg.service_mixes)
-          cfg.service_pipeline)
-      cfg.service_shards
-  in
-  (* One hot-key contrast cell: the mixed ratio at Zipf 1.2 popularity,
-     where most traffic lands on a single counter and hence a single
-     shard — how much the per-object serialization costs vs the uniform
-     cell at the same shard count. *)
-  let hotkey =
-    match cfg.service_mixes with
-    | [] -> []
-    | mix :: _ ->
-      let shards = List.fold_left max 1 cfg.service_shards in
-      [ service_cell cfg ~shards ~pipeline:8 ~mix ~zipf:1.2
-          ~label:(mix.sm_label ^ "-hotkey") ]
-  in
-  matrix @ hotkey
-
-(* ------------------------------------------------------------------ *)
-(* Service I/O plane: io_domains x connections x shards sweep          *)
+(* Service I/O scale: the 10k-connection poller-backend sweep          *)
 (* ------------------------------------------------------------------ *)
 
 let fstats xs =
@@ -700,122 +353,6 @@ let fstats xs =
   Array.sort compare a;
   let n = Array.length a in
   (a.(0), a.(n / 2), a.(n - 1))
-
-(* The scaling experiment behind the multi-domain event loops: every
-   cell is a fresh server per trial (warmup + recorded), driven by the
-   closed-loop loadgen at the mixed op ratio with a fixed pipeline
-   window, summarised as min/median/max ops/s. The per-loop metrics of
-   the last trial are folded in (wakeups, active cycles, per-write
-   flush sizes are in STATS; here we keep the scalar aggregates), and
-   the accuracy self-check doubles as the correctness gate: a cell
-   with errors or violations invalidates the whole record. *)
-let service_io_throughput cfg =
-  let mix = List.hd default_mixes (* mixed *) in
-  let pipeline = 8 in
-  List.concat_map
-    (fun io_domains ->
-      List.concat_map
-        (fun conns ->
-          List.map
-            (fun shards ->
-              let run_once trial =
-                let path =
-                  Filename.concat
-                    (Filename.get_temp_dir_name ())
-                    (Printf.sprintf "approx_io_%d_%d_%d_%d_%d.sock"
-                       (Unix.getpid ()) io_domains conns shards trial)
-                in
-                let config =
-                  { Service.Server.default_config with shards; io_domains }
-                in
-                let srv =
-                  Service.Server.start ~config ~listen:(`Unix path) ()
-                in
-                Fun.protect
-                  ~finally:(fun () -> Service.Server.stop srv)
-                  (fun () ->
-                    let lg =
-                      { Service.Loadgen.default_config with
-                        connections = conns;
-                        ops_per_connection = cfg.service_io_ops_per_connection;
-                        pipeline;
-                        read_permille = mix.sm_read_permille;
-                        add_permille = mix.sm_add_permille;
-                        add_delta = mix.sm_add_delta;
-                        seed = 42 + trial }
-                    in
-                    let r =
-                      Service.Loadgen.run ~addrs:[ Service.Server.sockaddr srv ]
-                        lg
-                    in
-                    let m = Service.Server.metrics srv in
-                    let wakeups = ref 0 and cycles = ref 0 in
-                    for l = 0 to Service.Metrics.io_domains m - 1 do
-                      let il = Service.Metrics.io_loop m l in
-                      wakeups := !wakeups + il.Service.Metrics.l_wakeups;
-                      cycles := !cycles + il.Service.Metrics.l_cycles
-                    done;
-                    (r, Service.Metrics.acc_violations_total m, !wakeups,
-                     !cycles, Service.Server.poller_name srv,
-                     Service.Metrics.max_ready_batch m,
-                     Service.Metrics.poller_rejects m))
-              in
-              for w = 1 to cfg.warmup_trials do
-                ignore (run_once (-w))
-              done;
-              let results = List.init cfg.trials run_once in
-              let rates =
-                List.map
-                  (fun (r, _, _, _, _, _, _) -> r.Service.Loadgen.ops_per_sec)
-                  results
-              in
-              let mn, md, mx = fstats rates in
-              let sum f = List.fold_left (fun acc x -> acc + f x) 0 results in
-              let poller =
-                match results with
-                | (_, _, _, _, p, _, _) :: _ -> p
-                | [] -> "?"
-              in
-              let max_ready =
-                List.fold_left
-                  (fun acc (_, _, _, _, _, b, _) -> max acc b)
-                  0 results
-              in
-              J.Obj
-                [ ("io_domains", J.Int io_domains);
-                  ("connections", J.Int conns);
-                  ("shards", J.Int shards);
-                  ("pipeline", J.Int pipeline);
-                  ("mix", J.Str mix.sm_label);
-                  ("poller", J.Str poller);
-                  ("ops_per_connection",
-                   J.Int cfg.service_io_ops_per_connection);
-                  ("trials", J.Int cfg.trials);
-                  ("ops_per_sec_min", J.Float mn);
-                  ("ops_per_sec_median", J.Float md);
-                  ("ops_per_sec_max", J.Float mx);
-                  ("busy",
-                   J.Int
-                     (sum (fun (r, _, _, _, _, _, _) -> r.Service.Loadgen.busy)));
-                  ("errors",
-                   J.Int
-                     (sum (fun (r, _, _, _, _, _, _) ->
-                          r.Service.Loadgen.errors)));
-                  ("acc_violations",
-                   J.Int (sum (fun (_, a, _, _, _, _, _) -> a)));
-                  ("wakeups", J.Int (sum (fun (_, _, w, _, _, _, _) -> w)));
-                  ("active_cycles",
-                   J.Int (sum (fun (_, _, _, c, _, _, _) -> c)));
-                  ("max_ready_batch", J.Int max_ready);
-                  ("poller_rejects",
-                   J.Int (sum (fun (_, _, _, _, _, _, pr) -> pr))) ])
-            cfg.service_io_shards)
-        cfg.service_io_conns)
-    cfg.service_io_domains
-
-(* ------------------------------------------------------------------ *)
-(* Service I/O scale: the 10k-connection poller-backend sweep          *)
-(* ------------------------------------------------------------------ *)
 
 (* Scalar scans over the STATS JSON text: the wire stats of a child
    server process arrive as rendered JSON, and pulling four scalars
@@ -1336,7 +873,7 @@ let service_cluster cfg =
   else [ cluster_trial cfg ~nodes:3 ~replicas:2 ~gossip_ms:10 ~chaos:true ]
 
 (* ------------------------------------------------------------------ *)
-(* Durability plane: fsync ablation, envelope batching, kill -9 replay *)
+(* Durability plane: kill -9 replay                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Data dirs hold only the WAL, the snapshot and their rename temps —
@@ -1365,137 +902,6 @@ let scan_json_bool json key =
   | Some start when start + 5 <= hl && String.sub json start 5 = "false" ->
     Some false
   | _ -> None
-
-(* The ablation axis: no durability at all, then the WAL under each
-   fsync policy, plus the per-op-logging contrast that quantifies what
-   envelope-aware batching saves. *)
-let durability_variants =
-  [ ("off", None, false);
-    ("never", Some Persist.Wal.Never, false);
-    ("never-every-op", Some Persist.Wal.Never, true);
-    ("every-n-32", Some (Persist.Wal.Every_n 32), false);
-    ("interval-5ms", Some (Persist.Wal.Interval_ms 5), false) ]
-
-let durability_mixes =
-  [ { sm_label = "write-heavy";
-      sm_read_permille = 0;
-      sm_add_permille = 0;
-      sm_add_delta = 16 };
-    { sm_label = "mixed";
-      sm_read_permille = 200;
-      sm_add_permille = 0;
-      sm_add_delta = 16 } ]
-
-(* In-process cell: serve with (or without) a data dir, drive the
-   closed-loop loadgen, then stop — the clean shutdown writes the
-   final snapshot, so the durability counters read after [stop] include
-   the whole run. Returns the scalars the summary needs alongside the
-   JSON row. *)
-let durability_cell cfg ~variant ~fsync ~every_op ~(mix : service_mix) =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "approx_dur_%d_%s_%s" (Unix.getpid ()) variant
-         mix.sm_label)
-  in
-  rm_rf_dir dir;
-  let path = dir ^ ".sock" in
-  Fun.protect
-    ~finally:(fun () -> rm_rf_dir dir)
-    (fun () ->
-      let config =
-        { Service.Server.default_config with
-          shards = 2;
-          data_dir = (match fsync with None -> None | Some _ -> Some dir);
-          fsync = Option.value ~default:Persist.Wal.Never fsync;
-          snapshot_interval_ms = 500;
-          wal_every_op = every_op }
-      in
-      let srv = Service.Server.start ~config ~listen:(`Unix path) () in
-      let r =
-        match
-          Service.Loadgen.run
-            ~addrs:[ Service.Server.sockaddr srv ]
-            { Service.Loadgen.default_config with
-              connections = cfg.service_durability_connections;
-              ops_per_connection = cfg.service_durability_ops_per_connection;
-              pipeline = 8;
-              read_permille = mix.sm_read_permille;
-              add_permille = mix.sm_add_permille;
-              add_delta = mix.sm_add_delta;
-              seed = 42 }
-        with
-        | r ->
-          Service.Server.stop srv;
-          r
-        | exception e ->
-          Service.Server.stop srv;
-          raise e
-      in
-      let m = Service.Server.metrics srv in
-      let d = Service.Metrics.durability m in
-      let fsync_label =
-        match fsync with
-        | None -> "off"
-        | Some f -> Persist.Wal.policy_to_string f
-      in
-      let row =
-        J.Obj
-          [ ("variant", J.Str variant);
-            ("mix", J.Str mix.sm_label);
-            ("fsync", J.Str fsync_label);
-            ("every_op", J.Bool every_op);
-            ("connections", J.Int cfg.service_durability_connections);
-            ("ops_per_connection",
-             J.Int cfg.service_durability_ops_per_connection);
-            ("ok", J.Int r.Service.Loadgen.ok);
-            ("busy", J.Int r.Service.Loadgen.busy);
-            ("errors", J.Int r.Service.Loadgen.errors);
-            ("ops_per_sec", J.Float r.Service.Loadgen.ops_per_sec);
-            ("p50_ns", J.Int r.Service.Loadgen.p50_ns);
-            ("p95_ns", J.Int r.Service.Loadgen.p95_ns);
-            ("p99_ns", J.Int r.Service.Loadgen.p99_ns);
-            ("max_ns", J.Int r.Service.Loadgen.max_ns);
-            ("wal_appends", J.Int d.Service.Metrics.d_wal_appends);
-            ("wal_bytes", J.Int d.Service.Metrics.d_wal_bytes);
-            ("wal_flushes", J.Int d.Service.Metrics.d_wal_flushes);
-            ("fsyncs", J.Int d.Service.Metrics.d_fsyncs);
-            ("snapshots", J.Int d.Service.Metrics.d_snapshots);
-            ("wal_truncations", J.Int d.Service.Metrics.d_wal_truncations);
-            ("acc_violations",
-             J.Int (Service.Metrics.acc_violations_total m)) ]
-      in
-      ((variant, mix.sm_label, r.Service.Loadgen.ops_per_sec,
-        d.Service.Metrics.d_wal_appends),
-       row))
-
-(* The headline claims, computed from the cells themselves so the
-   record is self-contained: write-heavy WAL overhead at fsync=never
-   vs no durability, and how many appends envelope batching saved vs
-   logging every change. *)
-let durability_summary cells =
-  let find variant mix =
-    List.find_map
-      (fun ((v, m, rate, appends), _) ->
-        if v = variant && m = mix then Some (rate, appends) else None)
-      cells
-  in
-  let overhead =
-    match (find "off" "write-heavy", find "never" "write-heavy") with
-    | Some (off, _), Some (nev, _) when off > 0.0 ->
-      J.Float ((off -. nev) /. off *. 100.0)
-    | _ -> J.Null
-  in
-  let ratio =
-    match (find "never-every-op" "write-heavy", find "never" "write-heavy")
-    with
-    | Some (_, per_op), Some (_, env) when env > 0 ->
-      J.Float (float_of_int per_op /. float_of_int env)
-    | _ -> J.Null
-  in
-  J.Obj
-    [ ("write_heavy_wal_overhead_pct", overhead);
-      ("appends_every_op_over_envelope", ratio) ]
 
 let dur_counters = 4
 let dur_k = 4
@@ -1607,24 +1013,13 @@ let durability_chaos_cell cfg ~exe =
           ("acc_violations", J.Int (int "acc_violations_total")) ])
 
 let service_durability cfg =
-  let cells =
-    List.concat_map
-      (fun (variant, fsync, every_op) ->
-        List.map
-          (fun mix -> durability_cell cfg ~variant ~fsync ~every_op ~mix)
-          durability_mixes)
-      durability_variants
-  in
   let chaos =
     match cfg.service_scale_server_exe with
     | Some exe when cfg.service_durability_chaos_ops > 0 ->
       [ durability_chaos_cell cfg ~exe ]
     | _ -> []
   in
-  J.Obj
-    [ ("cells", J.List (List.map snd cells));
-      ("summary", durability_summary cells);
-      ("chaos", J.List chaos) ]
+  J.Obj [ ("chaos", J.List chaos) ]
 
 (* ------------------------------------------------------------------ *)
 (* Gossip data path: peer bytes per op and partition-heal cost         *)
@@ -1932,7 +1327,7 @@ let simulator_metrics cfg =
 let bench_json cfg =
   let cores = detect_cores () in
   J.Obj
-    [ ("schema_version", J.Int 10);
+    [ ("schema_version", J.Int 11);
       ("suite", J.Str "approx_objects perf pipeline");
       ("host",
        J.Obj
@@ -1946,9 +1341,6 @@ let bench_json cfg =
          [ ("trials", J.Int cfg.trials);
            ("warmup_trials", J.Int cfg.warmup_trials);
            ("ops_per_domain", J.Int cfg.ops_per_domain);
-           ("domains", J.List (List.map (fun d -> J.Int d) cfg.domains));
-           ("fastpath_batch_sizes",
-            J.List (List.map (fun b -> J.Int b) cfg.fastpath_batch_sizes));
            ("mlp_cells",
             J.List
               (List.map
@@ -1958,23 +1350,6 @@ let bench_json cfg =
                        ("m", J.Int m) ])
                  cfg.mlp_cells));
            ("mlp_write_permille", J.Int cfg.mlp_write_permille);
-           ("service_shards",
-            J.List (List.map (fun s -> J.Int s) cfg.service_shards));
-           ("service_pipeline",
-            J.List (List.map (fun w -> J.Int w) cfg.service_pipeline));
-           ("service_mixes",
-            J.List (List.map (fun m -> J.Str m.sm_label) cfg.service_mixes));
-           ("service_connections", J.Int cfg.service_connections);
-           ("service_ops_per_connection",
-            J.Int cfg.service_ops_per_connection);
-           ("service_io_domains",
-            J.List (List.map (fun d -> J.Int d) cfg.service_io_domains));
-           ("service_io_conns",
-            J.List (List.map (fun c -> J.Int c) cfg.service_io_conns));
-           ("service_io_shards",
-            J.List (List.map (fun s -> J.Int s) cfg.service_io_shards));
-           ("service_io_ops_per_connection",
-            J.Int cfg.service_io_ops_per_connection);
            ("service_scale_conns",
             J.List (List.map (fun c -> J.Int c) cfg.service_scale_conns));
            ("service_scale_select_conns",
@@ -1999,8 +1374,6 @@ let bench_json cfg =
            ("service_cluster_chaos_ops", J.Int cfg.service_cluster_chaos_ops);
            ("service_durability_connections",
             J.Int cfg.service_durability_connections);
-           ("service_durability_ops_per_connection",
-            J.Int cfg.service_durability_ops_per_connection);
            ("service_durability_chaos_ops",
             J.Int cfg.service_durability_chaos_ops);
            ("service_comms_cells",
@@ -2014,12 +1387,7 @@ let bench_json cfg =
            ("service_comms_heal_diverged",
             J.List (List.map (fun d -> J.Int d) cfg.service_comms_heal_diverged));
            ("epoll_available", J.Bool Service.Poller.epoll_available) ]);
-      ("counter_throughput", J.List (counter_throughput cfg));
-      ("maxreg_throughput", J.List (maxreg_throughput cfg));
-      ("fastpath", fastpath cfg);
       ("mlp", mlp cfg);
-      ("service", J.List (service_throughput cfg));
-      ("service_io", J.List (service_io_throughput cfg));
       ("service_io_scale", J.List (service_scale_throughput cfg));
       ("service_cluster", J.List (service_cluster cfg));
       ("service_cluster_comms", service_cluster_comms cfg);
@@ -2027,27 +1395,21 @@ let bench_json cfg =
       ("simulator", J.Obj [ ("algorithm1", simulator_metrics cfg) ]) ]
 
 (* ------------------------------------------------------------------ *)
-(* Record queries (CI regression guard)                                *)
+(* CI floor probe                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let row_matches r ~object_ ~workload ~domains =
-  let str k' = match List.assoc_opt k' r with Some (J.Str s) -> Some s | _ -> None in
-  let int k' = match List.assoc_opt k' r with Some (J.Int i) -> Some i | _ -> None in
-  str "object" = Some object_
-  && str "workload" = Some workload
-  && int "domains" = Some domains
-
-(* The CI guard's measurement: the same cell as the record's kcounter
-   read-heavy domains=1 row, but always at full measurement size —
-   smoke trials (500 ops) are dominated by Domain.spawn/join, so their
-   absolute medians cannot be compared against a committed full-size
-   record. At the cached-read throughput this costs well under a
-   second. *)
+(* The CI guard's measurement: the committed BENCH_2 record's kcounter
+   read-heavy domains=1 cell (Algorithm 1 at k = 2, cached reads),
+   always at full measurement size — smoke-sized trials are dominated
+   by Domain.spawn/join, so their absolute medians cannot be compared
+   against a committed full-size record. At the cached-read throughput
+   this costs well under a second. *)
 let read_heavy_floor_probe ?(trials = 3) ?(ops_per_domain = 200_000) () =
-  let make = List.assoc "kcounter" (counter_objects ~domains:1) in
-  let inc, read = make () in
+  let kc = Mcore.Mc_kcounter.create ~n:1 ~k:2 () in
   let worker =
-    Mcore.Throughput.mixed_worker Mcore.Throughput.read_heavy ~inc ~read
+    Mcore.Throughput.mixed_worker Mcore.Throughput.read_heavy
+      ~inc:(fun ~pid -> Mcore.Mc_kcounter.increment kc ~pid)
+      ~read:(fun ~pid -> ignore (Mcore.Mc_kcounter.read_fast kc ~pid))
   in
   let stats =
     Mcore.Throughput.measure ~warmup_trials:1 ~trials ~domains:1
@@ -2055,33 +1417,12 @@ let read_heavy_floor_probe ?(trials = 3) ?(ops_per_domain = 200_000) () =
   in
   stats.Mcore.Throughput.s_median_ops_per_sec
 
-let kcounter_read_heavy_median json =
-  match json with
-  | J.Obj fields ->
-    (match List.assoc_opt "counter_throughput" fields with
-     | Some (J.List rows) ->
-       List.find_map
-         (fun row ->
-           match row with
-           | J.Obj r
-             when row_matches r ~object_:"kcounter" ~workload:"read-heavy"
-                    ~domains:1 ->
-             (match List.assoc_opt "ops_per_sec_median" r with
-              | Some (J.Float f) -> Some f
-              | Some (J.Int i) -> Some (float_of_int i)
-              | _ -> None)
-           | _ -> None)
-         rows
-     | _ -> None)
-  | _ -> None
-
 let run ?(quiet = false) cfg =
   let json = bench_json cfg in
   J.write_file ~path:cfg.out_path json;
   if not quiet then begin
-    Printf.printf "perf pipeline: %d trial(s) x %d ops/domain, domains {%s}\n"
-      cfg.trials cfg.ops_per_domain
-      (String.concat ", " (List.map string_of_int cfg.domains));
+    Printf.printf "perf pipeline: %d trial(s) x %d ops/domain\n" cfg.trials
+      cfg.ops_per_domain;
     (match json with
      | J.Obj fields ->
        let str_of r k' =
@@ -2093,58 +1434,6 @@ let run ?(quiet = false) cfg =
          | Some (J.Int i) -> float_of_int i
          | _ -> Float.nan
        in
-       (match List.assoc_opt "counter_throughput" fields with
-        | Some (J.List rows) ->
-          List.iter
-            (fun row ->
-              match row with
-              | J.Obj r ->
-                Printf.printf
-                  "  %-9s %-10s domains=%.0f  median %8.2f Mops/s  (min %.2f, max %.2f)\n"
-                  (str_of r "object") (str_of r "workload") (num_of r "domains")
-                  (num_of r "ops_per_sec_median" /. 1e6)
-                  (num_of r "ops_per_sec_min" /. 1e6)
-                  (num_of r "ops_per_sec_max" /. 1e6)
-              | _ -> ())
-            rows
-        | _ -> ());
-       (match List.assoc_opt "fastpath" fields with
-        | Some (J.Obj fp) ->
-          (match List.assoc_opt "read_ablation" fp with
-           | Some (J.List rows) ->
-             List.iter
-               (fun row ->
-                 match row with
-                 | J.Obj r ->
-                   let hits = num_of r "cache_hits"
-                   and misses = num_of r "cache_misses" in
-                   let rate =
-                     if hits +. misses > 0.0 then hits /. (hits +. misses)
-                     else 0.0
-                   in
-                   Printf.printf
-                     "  fastpath  %-8s %-10s domains=%.0f  median %8.2f Mops/s  hit-rate %.3f\n"
-                     (str_of r "variant") (str_of r "workload")
-                     (num_of r "domains")
-                     (num_of r "ops_per_sec_median" /. 1e6)
-                     rate
-                 | _ -> ())
-               rows
-           | _ -> ());
-          (match List.assoc_opt "inc_batching" fp with
-           | Some (J.List rows) ->
-             List.iter
-               (fun row ->
-                 match row with
-                 | J.Obj r ->
-                   Printf.printf
-                     "  batching  %-9s batch=%-5.0f domains=%.0f  %8.2f M incs/s\n"
-                     (str_of r "object") (num_of r "batch") (num_of r "domains")
-                     (num_of r "increments_per_sec_median" /. 1e6)
-                 | _ -> ())
-               rows
-           | _ -> ())
-        | _ -> ());
        (match List.assoc_opt "mlp" fields with
         | Some (J.Obj mlp) ->
           (match List.assoc_opt "cells" mlp with
@@ -2174,37 +1463,6 @@ let run ?(quiet = false) cfg =
                rows
            | _ -> ())
         | _ -> ());
-       (match List.assoc_opt "service" fields with
-        | Some (J.List rows) ->
-          List.iter
-            (fun row ->
-              match row with
-              | J.Obj r ->
-                Printf.printf
-                  "  service   shards=%.0f window=%-3.0f %-10s %8.2f kops/s  p50 %6.0f ns  p99 %8.0f ns  fused=%.0f\n"
-                  (num_of r "shards") (num_of r "pipeline") (str_of r "mix")
-                  (num_of r "ops_per_sec" /. 1e3)
-                  (num_of r "p50_ns") (num_of r "p99_ns")
-                  (num_of r "deferred_ops")
-              | _ -> ())
-            rows
-        | _ -> ());
-       (match List.assoc_opt "service_io" fields with
-        | Some (J.List rows) ->
-          List.iter
-            (fun row ->
-              match row with
-              | J.Obj r ->
-                Printf.printf
-                  "  io-plane  loops=%.0f conns=%-3.0f shards=%.0f  median %8.2f kops/s  (min %.2f, max %.2f)\n"
-                  (num_of r "io_domains") (num_of r "connections")
-                  (num_of r "shards")
-                  (num_of r "ops_per_sec_median" /. 1e3)
-                  (num_of r "ops_per_sec_min" /. 1e3)
-                  (num_of r "ops_per_sec_max" /. 1e3)
-              | _ -> ())
-            rows
-        | _ -> ());
        (match List.assoc_opt "service_io_scale" fields with
         | Some (J.List rows) ->
           List.iter
@@ -2224,21 +1482,6 @@ let run ?(quiet = false) cfg =
         | _ -> ());
        (match List.assoc_opt "service_durability" fields with
         | Some (J.Obj dur) ->
-          (match List.assoc_opt "cells" dur with
-           | Some (J.List rows) ->
-             List.iter
-               (fun row ->
-                 match row with
-                 | J.Obj r ->
-                   Printf.printf
-                     "  durability %-14s %-11s %8.2f kops/s  appends=%.0f fsyncs=%.0f  p99 %8.0f ns\n"
-                     (str_of r "variant") (str_of r "mix")
-                     (num_of r "ops_per_sec" /. 1e3)
-                     (num_of r "wal_appends") (num_of r "fsyncs")
-                     (num_of r "p99_ns")
-                 | _ -> ())
-               rows
-           | _ -> ());
           (match List.assoc_opt "chaos" dur with
            | Some (J.List rows) ->
              List.iter

@@ -29,6 +29,19 @@ let policy_to_string = function
   | Interval_ms n -> Printf.sprintf "interval-ms:%d" n
   | Every_n n -> Printf.sprintf "every-n-records:%d" n
 
+let policy_of_string s =
+  if s = "never" then Some Never
+  else
+    match String.index_opt s ':' with
+    | None -> None
+    | Some colon ->
+      let key = String.sub s 0 colon in
+      let v = String.sub s (colon + 1) (String.length s - colon - 1) in
+      (match (key, int_of_string_opt v) with
+       | "interval-ms", Some n when n >= 1 -> Some (Interval_ms n)
+       | "every-n-records", Some n when n >= 1 -> Some (Every_n n)
+       | _ -> None)
+
 type stats = {
   appends : int;
   bytes : int;

@@ -18,6 +18,11 @@ type fsync_policy =
           fsync covering every shard's appends of that drain cycle. *)
 
 val policy_to_string : fsync_policy -> string
+(** [never], [interval-ms:N] or [every-n-records:N]. *)
+
+val policy_of_string : string -> fsync_policy option
+(** Inverse of {!policy_to_string}; [None] on any other text,
+    including a non-positive [N]. *)
 
 type stats = {
   appends : int;  (** Records staged. *)

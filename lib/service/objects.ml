@@ -438,12 +438,11 @@ let persist_export o =
    has grown past the object's approximation factor since the last
    record, so losing every unlogged op still leaves a restart within
    the k-envelope. Exact kinds (k = 1) have no slack to spend and log
-   every change. [every_op] (bench ablation) forces the k = 1 rule for
-   everyone — the contrast cell for the appends ratio. *)
-let persist_due o ~every_op =
+   every change. *)
+let persist_due o =
   let v = known o in
   let k = kind_k o.o_spec.kind in
-  if every_op || k < 2 then v <> o.p_last_logged
+  if k < 2 then v <> o.p_last_logged
   else v > 0 && v >= k * o.p_last_logged
 
 let mark_persisted o = o.p_last_logged <- known o

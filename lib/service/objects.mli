@@ -237,11 +237,10 @@ val persist_export : obj -> Persist.Delta.t
     gossip epoch-subtraction hazard cannot arise); max kinds export the
     merged maximum. *)
 
-val persist_due : obj -> every_op:bool -> bool
+val persist_due : obj -> bool
 (** Whether the merged value has outgrown the last WAL record by the
     object's approximation factor — the envelope-aware batching rule.
-    Exact kinds (k = 1) are due on any change; [every_op] forces that
-    rule for all kinds (the bench ablation's contrast). *)
+    Exact kinds (k = 1) are due on any change. *)
 
 val mark_persisted : obj -> unit
 (** Record that the current merged value was just staged to the WAL. *)

@@ -19,7 +19,6 @@ type config = {
   data_dir : string option;
   fsync : Persist.Wal.fsync_policy;
   snapshot_interval_ms : int;
-  wal_every_op : bool;
 }
 
 let default_config =
@@ -38,8 +37,7 @@ let default_config =
     peers = [];
     data_dir = None;
     fsync = Persist.Wal.Never;
-    snapshot_interval_ms = 1000;
-    wal_every_op = false }
+    snapshot_interval_ms = 1000 }
 
 (* A shard is what Algorithm 1 needs of a process: a pid (the shard
    index; [n = shards]) and a lock that serializes that pid's ops, so
@@ -242,7 +240,7 @@ let exec_batch t sh b n =
   in
   let check_persist obj =
     match t.wal with
-    | Some wal when Objects.persist_due obj ~every_op:t.cfg.wal_every_op ->
+    | Some wal when Objects.persist_due obj ->
       Persist.Wal.append wal
         ((Objects.spec obj).Objects.name, Objects.persist_export obj);
       Objects.mark_persisted obj

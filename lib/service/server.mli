@@ -123,9 +123,6 @@ type config = {
   snapshot_interval_ms : int;
       (** Fuzzy-snapshot cadence; [0] disables periodic snapshots (the
           shutdown snapshot still runs). *)
-  wal_every_op : bool;
-      (** Log every value change instead of envelope-aware batching —
-          the bench ablation's contrast cell, not a serving mode. *)
 }
 
 val default_config : config
@@ -133,8 +130,8 @@ val default_config : config
     poller, [Objects.default_specs ~counters:4 ~k:4]; standalone
     topology (node 0 of 1, no peers, 50 ms interval, k_staleness 2,
     digests every 32 ticks); durability off
-    ([data_dir = None]; fsync [Never], 1 s snapshots, envelope-batched
-    logging when enabled). *)
+    ([data_dir = None]; fsync [Never], 1 s snapshots). With a data dir
+    the WAL is always envelope-batched ({!Objects.persist_due}). *)
 
 type t
 

@@ -1,7 +1,8 @@
 (* Fast-path smoke test for the perf pipeline: tiny trial counts, but
-   the full code path — throughput measurements across domains=1,2,
-   simulator metrics, JSON assembly, atomic file write. Keeps the
-   BENCH_*.json machinery from silently bitrotting. *)
+   the full code path — mlp sweep, scale/cluster/comms cells,
+   simulator metrics, JSON assembly, atomic file write — plus a
+   small-sized run of the CI floor probe. Keeps the BENCH_*.json
+   machinery from silently bitrotting. *)
 
 let check = Alcotest.check
 
@@ -53,10 +54,10 @@ let test_json_atomic_write () =
 let test_pipeline_smoke () =
   let path = Filename.temp_file "bench_smoke" ".json" in
   let cfg = { Perf.Pipeline.smoke_config with out_path = path } in
-  let record = Perf.Pipeline.run ~quiet:true cfg in
-  (match Perf.Pipeline.kcounter_read_heavy_median record with
-   | Some m -> Alcotest.(check bool) "read-heavy median positive" true (m > 0.0)
-   | None -> Alcotest.fail "no kcounter read-heavy median in record");
+  ignore (Perf.Pipeline.run ~quiet:true cfg);
+  Alcotest.(check bool) "floor probe median positive" true
+    (Perf.Pipeline.read_heavy_floor_probe ~trials:1 ~ops_per_domain:2_000 ()
+     > 0.0);
   let ic = open_in path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -68,37 +69,33 @@ let test_pipeline_smoke () =
       Alcotest.(check bool)
         (Printf.sprintf "record mentions %S" needle)
         true (contains ~needle s))
-    [ "\"schema_version\": 10"; "counter_throughput"; "maxreg_throughput";
-      "amortized_steps_per_op"; "ops_per_sec_median"; "ops_per_sec_min";
-      "ops_per_sec_max"; "kcounter"; "faa"; "\"domains\": 1";
-      "\"domains\": 2"; "\"service\""; "\"shards\": 2"; "p50_ns"; "p99_ns";
-      "\"errors\": 0"; "\"acc_violations\": 0"; "\"fastpath\"";
-      "read_ablation"; "inc_batching"; "\"variant\": \"cached\"";
-      "\"variant\": \"uncached\""; "increments_per_sec_median";
-      "effective_cores"; "cores_source"; "\"mix\": \"add-heavy\"";
-      "fused_applies"; "deferred_ops"; "batch_read_hits"; "\"service_io\"";
-      "\"io_domains\": 1"; "\"io_domains\": 2"; "active_cycles"; "wakeups";
-      "\"service_io_scale\""; "\"poller\""; "poller_rejects";
-      "max_ready_batch"; "\"poller\": \"select\"";
+    [ "\"schema_version\": 11"; "amortized_steps_per_op"; "ops_per_sec_median";
+      "ops_per_sec_min"; "ops_per_sec_max"; "kcounter"; "\"domains\": 1";
+      "\"shards\": 2"; "p50_ns"; "p99_ns"; "\"errors\": 0";
+      "\"acc_violations\": 0"; "effective_cores"; "cores_source";
+      "\"io_domains\": 1"; "\"service_io_scale\""; "\"poller\"";
+      "poller_rejects"; "max_ready_batch"; "\"poller\": \"select\"";
       "ops_per_sec_per_conn_median"; "\"server_mode\": \"in-process\"";
       "\"service_cluster\""; "\"nodes\": 3"; "\"replicas\": 2";
       "\"chaos\": true"; "\"converged\": true";
       "\"staleness_violations\": 0"; "gossip_frames_sent";
       "gossip_entries_merged"; "\"k_staleness\": 2"; "\"k_total\": 8";
-      "\"reconnects\""; "\"service_durability\""; "\"variant\": \"off\"";
-      "\"variant\": \"never\""; "\"variant\": \"every-n-32\"";
-      "\"variant\": \"interval-5ms\"";
-      "\"variant\": \"never-every-op\""; "wal_appends"; "wal_flushes";
-      "\"fsyncs\""; "\"snapshots\""; "appends_every_op_over_envelope";
-      "write_heavy_wal_overhead_pct"; "p95_ns"; "max_ns"; "\"zipf_s\": 1.2";
-      "-hotkey"; "\"mlp\""; "\"variant\": \"boxed-walk\"";
-      "\"variant\": \"flat\""; "flat_over_boxed_speedup";
-      "\"finals_agree\": true"; "boxed_heap_bytes";
+      "\"reconnects\""; "\"service_durability\""; "\"mlp\"";
+      "\"variant\": \"boxed-walk\""; "\"variant\": \"flat\"";
+      "flat_over_boxed_speedup"; "\"finals_agree\": true"; "boxed_heap_bytes";
       "largest_cell_flat_over_boxed_speedup"; "\"all_finals_agree\": true";
       "\"service_cluster_comms\""; "\"compact_bytes_per_op\"";
       "gossip_bytes_sent"; "gossip_digest_rounds";
       "gossip_repair_objects"; "\"all_cells_clean\": true";
-      "\"healed\": true"; "heal_bytes"; "diverged_counters" ]
+      "\"healed\": true"; "heal_bytes"; "diverged_counters" ];
+  (* Sections perfbench times on the same path are not re-run here. *)
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool)
+        (Printf.sprintf "record omits %S" needle)
+        false (contains ~needle s))
+    [ "counter_throughput"; "maxreg_throughput"; "\"fastpath\"";
+      "\"service\""; "\"service_io\""; "never-every-op" ]
 
 let suite =
   [ ("json basic", `Quick, test_json_basic);

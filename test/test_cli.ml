@@ -114,6 +114,17 @@ let test_removed_serve_flags () =
         (contains ~needle:flag err))
     [ "--queue"; "--pending" ]
 
+(* The fsync policy text is validated before anything starts: a
+   non-positive record count is a usage error, not a parse error. *)
+let test_bad_fsync_value () =
+  let status, out, err =
+    run [ "serve"; "--fsync"; "every-n-records:0"; "--duration"; "0.1" ]
+  in
+  Alcotest.(check int) "exit code 2" 2 (exit_code status);
+  Alcotest.(check string) "nothing on stdout" "" out;
+  Alcotest.(check bool) "stderr names the option" true
+    (contains ~needle:"--fsync" err)
+
 (* A short-lived serve on each explicitly selectable backend: select
    everywhere; epoll must either run (Linux build) or be refused with
    exit 2 and a clear message — never a crash. *)
@@ -160,5 +171,6 @@ let () =
           test_poller_selection) ]);
       ("serve flags",
        [ ("--queue and --pending are unknown", `Quick,
-          test_removed_serve_flags) ])
+          test_removed_serve_flags);
+         ("bad --fsync value exits 2", `Quick, test_bad_fsync_value) ])
     ]

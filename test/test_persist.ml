@@ -172,6 +172,76 @@ let test_wal_truncate_upto () =
         (entries_equal s.Persist.Wal.s_entries
            (List.filteri (fun i _ -> i >= 6) entries @ [ ("tail", D.Max 99) ])))
 
+(* The fsync policies' accounting: [fsyncs] are syncs that ran,
+   [fsyncs_deferred] flushes that wrote records but skipped the sync,
+   [fsync_records_covered] the records those syncs made durable. *)
+let wal_policy_stats ~fsync f =
+  with_dir (fun dir ->
+      let wal = Persist.Wal.open_ ~dir ~fsync ~scan:(Persist.Wal.scan ~dir) in
+      f wal;
+      Persist.Wal.stats wal)
+
+let append_n wal n =
+  for i = 1 to n do
+    Persist.Wal.append wal (Printf.sprintf "c%d" i, D.Max i)
+  done
+
+let check_syncs label (st : Persist.Wal.stats) ~fsyncs ~deferred ~covered =
+  check Alcotest.int (label ^ ": fsyncs") fsyncs st.Persist.Wal.fsyncs;
+  check Alcotest.int (label ^ ": deferred") deferred
+    st.Persist.Wal.fsyncs_deferred;
+  check Alcotest.int (label ^ ": covered") covered
+    st.Persist.Wal.fsync_records_covered
+
+let test_wal_every_n () =
+  let after_close =
+    wal_policy_stats ~fsync:(Persist.Wal.Every_n 4) (fun wal ->
+        append_n wal 3;
+        Persist.Wal.flush wal;
+        check_syncs "3 of 4" (Persist.Wal.stats wal) ~fsyncs:0 ~deferred:1
+          ~covered:0;
+        append_n wal 1;
+        Persist.Wal.flush wal;
+        check_syncs "4 of 4" (Persist.Wal.stats wal) ~fsyncs:1 ~deferred:1
+          ~covered:4;
+        Persist.Wal.close wal)
+  in
+  check_syncs "close" after_close ~fsyncs:2 ~deferred:1 ~covered:4
+
+let test_wal_interval () =
+  let after_close =
+    wal_policy_stats ~fsync:(Persist.Wal.Interval_ms 60_000) (fun wal ->
+        append_n wal 2;
+        Persist.Wal.flush wal;
+        check_syncs "first flush" (Persist.Wal.stats wal) ~fsyncs:1
+          ~deferred:0 ~covered:2;
+        append_n wal 2;
+        Persist.Wal.flush wal;
+        check_syncs "second flush" (Persist.Wal.stats wal) ~fsyncs:1
+          ~deferred:1 ~covered:2;
+        Persist.Wal.close wal)
+  in
+  check_syncs "close" after_close ~fsyncs:2 ~deferred:1 ~covered:4
+
+let test_wal_never_close_syncs () =
+  let after_close =
+    wal_policy_stats ~fsync:Persist.Wal.Never (fun wal ->
+        append_n wal 3;
+        Persist.Wal.flush wal;
+        check_syncs "flush" (Persist.Wal.stats wal) ~fsyncs:0 ~deferred:0
+          ~covered:0;
+        Persist.Wal.close wal)
+  in
+  check_syncs "close" after_close ~fsyncs:1 ~deferred:0 ~covered:3
+
+let test_wal_policy_text () =
+  List.iter
+    (fun p ->
+      let text = Persist.Wal.policy_to_string p in
+      Alcotest.(check bool) (text ^ " round-trips") true
+        (Persist.Wal.policy_of_string text = Some p))
+    [ Persist.Wal.Never; Persist.Wal.Every_n 16; Persist.Wal.Interval_ms 5 ]
+
 (* ------------------------------------------------------------------ *)
 (* Snapshot roundtrip and recovery merge                               *)
 (* ------------------------------------------------------------------ *)
@@ -506,7 +576,11 @@ let () =
       ("wal",
        [ QCheck_alcotest.to_alcotest test_wal_roundtrip;
          QCheck_alcotest.to_alcotest test_wal_torn_tail;
-         ("truncate_upto rotates the base", `Quick, test_wal_truncate_upto) ]);
+         ("truncate_upto rotates the base", `Quick, test_wal_truncate_upto);
+         ("Every_n 4 syncs on the 4th record", `Quick, test_wal_every_n);
+         ("Interval_ms defers the 2nd flush", `Quick, test_wal_interval);
+         ("close syncs under Never", `Quick, test_wal_never_close_syncs);
+         ("fsync policy text round-trips", `Quick, test_wal_policy_text) ]);
       ("snapshot",
        [ QCheck_alcotest.to_alcotest test_snapshot_roundtrip;
          ("corrupt snapshot is ignored", `Quick,

@@ -27,24 +27,14 @@ FLOOR=$(awk '/"object":/ { obj = ($2 ~ /kcounter/) }
 echo "   (floor: kcounter read-heavy median >= $FLOOR ops/s)"
 dune exec bin/approx_cli.exe -- bench --smoke --out /tmp/BENCH_ci_smoke.json \
   --check-floor "$FLOOR" > /dev/null
-grep -q '"schema_version": 10' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record is not schema_version 10"; exit 1; }
-grep -q '"fastpath"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the fastpath experiment"; exit 1; }
-grep -q '"read_ablation"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the read ablation"; exit 1; }
-grep -q '"inc_batching"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the inc batching sweep"; exit 1; }
+grep -q '"schema_version": 11' /tmp/BENCH_ci_smoke.json \
+  || { echo "smoke record is not schema_version 11"; exit 1; }
 grep -q '"mlp"' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing the mlp working-set sweep"; exit 1; }
 grep -q '"flat_over_boxed_speedup"' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing the walk-vs-flat speedup"; exit 1; }
 grep -q '"finals_agree": true' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke mlp layouts disagreed on final register values"; exit 1; }
-grep -q '"service_io"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the I/O-plane sweep"; exit 1; }
-grep -q '"io_domains": 2' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the io_domains=2 cell"; exit 1; }
 grep -q '"effective_cores"' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing host core detection"; exit 1; }
 grep -q '"service_io_scale"' /tmp/BENCH_ci_smoke.json \
@@ -63,12 +53,6 @@ grep -q '"staleness_violations": 0' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke cluster cells violated the staleness envelope"; exit 1; }
 grep -q '"service_durability"' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing the durability sweep"; exit 1; }
-grep -q '"variant": "never-every-op"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the log-every-op ablation cell"; exit 1; }
-grep -q '"wal_appends"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing WAL counters"; exit 1; }
-grep -q '"zipf_s": 1.2' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the hot-key Zipf cell"; exit 1; }
 grep -q '"service_cluster_comms"' /tmp/BENCH_ci_smoke.json \
   || { echo "smoke record missing the gossip data-path sweep"; exit 1; }
 grep -q '"compact_bytes_per_op"' /tmp/BENCH_ci_smoke.json \
