@@ -83,9 +83,16 @@ let write ~dir ~wal_index entries =
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  write_all fd (Obuf.bytes buf) 0 (Obuf.length buf);
-  (try Unix.fsync fd with Unix.Unix_error _ -> ());
-  Unix.close fd;
+  (* A failed write (ENOSPC) must not leak the fd: a periodic snapshot
+     on a full disk would otherwise lose one per interval. The previous
+     snapshot stays in place, since the rename never happens. *)
+  (match write_all fd (Obuf.bytes buf) 0 (Obuf.length buf) with
+   | () ->
+     (try Unix.fsync fd with Unix.Unix_error _ -> ());
+     Unix.close fd
+   | exception e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
   Unix.rename tmp final;
   (* Persist the rename; best-effort like the WAL's rotation. *)
   (match Unix.openfile dir [ Unix.O_RDONLY ] 0 with

@@ -51,6 +51,8 @@ type io_loop = {
   mutable l_cycles : int;
   mutable l_owned_conns : int;
   mutable l_max_ready_batch : int;  (* peak ready slots in one wait *)
+  mutable l_spin_polls : int;  (* zero-timeout waits issued *)
+  mutable l_spin_hits : int;  (* ... that returned ready events *)
   mutable l_poller_rejects : int;  (* conns refused by Backend_limit *)
   mutable l_hellos : int;  (* accepted handshakes *)
   mutable l_hello_rejects : int;  (* Bad_version / missing HELLO closes *)
@@ -104,6 +106,7 @@ type durability = {
   mutable d_fsyncs_deferred : int;  (* flushes that left records unsynced *)
   mutable d_fsync_records_covered : int;  (* records made durable by fsyncs *)
   mutable d_snapshots : int;
+  mutable d_snapshot_errors : int;  (* snapshot ticks that raised *)
   mutable d_wal_truncations : int;
   mutable d_recovery_replayed_records : int;
   mutable d_recovery_snapshot_loaded : bool;
@@ -159,6 +162,7 @@ let create ?(node_id = 0) ?(nodes = 1) ?(replicas = 1)
           d_fsyncs_deferred = 0;
           d_fsync_records_covered = 0;
           d_snapshots = 0;
+          d_snapshot_errors = 0;
           d_wal_truncations = 0;
           d_recovery_replayed_records = 0;
           d_recovery_snapshot_loaded = false;
@@ -177,6 +181,8 @@ let create ?(node_id = 0) ?(nodes = 1) ?(replicas = 1)
               l_cycles = 0;
               l_owned_conns = 0;
               l_max_ready_batch = 0;
+              l_spin_polls = 0;
+              l_spin_hits = 0;
               l_poller_rejects = 0;
               l_hellos = 0;
               l_hello_rejects = 0;
@@ -261,6 +267,8 @@ let digest_frames_received t = sum_loops t (fun l -> l.l_digest_frames)
 let digest_mismatches t = sum_loops t (fun l -> l.l_digest_mismatches)
 let intern_hits t = sum_loops t (fun l -> l.l_intern_hits)
 let intern_misses t = sum_loops t (fun l -> l.l_intern_misses)
+let spin_polls t = sum_loops t (fun l -> l.l_spin_polls)
+let spin_hits t = sum_loops t (fun l -> l.l_spin_hits)
 
 let sum_shards t f = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
 
@@ -326,6 +334,8 @@ let io_loop_json l =
       ("cycles", J.Int l.l_cycles);
       ("owned_conns", J.Int l.l_owned_conns);
       ("max_ready_batch", J.Int l.l_max_ready_batch);
+      ("spin_polls", J.Int l.l_spin_polls);
+      ("spin_hits", J.Int l.l_spin_hits);
       ("poller_rejects", J.Int l.l_poller_rejects);
       ("hellos", J.Int l.l_hellos);
       ("hello_rejects", J.Int l.l_hello_rejects);
@@ -356,6 +366,8 @@ let to_json t =
            ("io_domains", J.Int (Array.length t.io_loops));
            ("poller_rejects", J.Int (poller_rejects t));
            ("max_ready_batch", J.Int (max_ready_batch t));
+           ("spin_polls", J.Int (spin_polls t));
+           ("spin_hits", J.Int (spin_hits t));
            ("intern_hits", J.Int (intern_hits t));
            ("intern_misses", J.Int (intern_misses t));
            ("total_ops", J.Int (total_ops t));
@@ -406,6 +418,7 @@ let to_json t =
             ("fsyncs_deferred", J.Int d.d_fsyncs_deferred);
             ("fsync_records_covered", J.Int d.d_fsync_records_covered);
             ("snapshots", J.Int d.d_snapshots);
+            ("snapshot_errors", J.Int d.d_snapshot_errors);
             ("wal_truncations", J.Int d.d_wal_truncations);
             ("recovery_replayed_records", J.Int d.d_recovery_replayed_records);
             ("recovery_snapshot_loaded", J.Bool d.d_recovery_snapshot_loaded);

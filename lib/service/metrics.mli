@@ -104,6 +104,15 @@ type io_loop = {
   mutable l_max_ready_batch : int;
       (** Peak ready slots (reads + writes) reported by one poller
           wait — how bursty dispatch gets under load. *)
+  mutable l_spin_polls : int;
+      (** Zero-timeout poller waits issued while the loop's spin
+          window was open (the 50 µs after a cycle that did work).
+          Flat while the server is idle: an expired window falls back
+          to a blocking wait. *)
+  mutable l_spin_hits : int;
+      (** Spin polls that returned ready events — requests caught
+          without a sleep/wake in the kernel. [l_spin_hits /
+          l_spin_polls] is the share of polls that paid. *)
   mutable l_poller_rejects : int;
       (** Connections this loop had to close because the poller
           backend refused the fd ([Poller.Backend_limit]; select
@@ -181,6 +190,10 @@ type durability = {
           [d_fsyncs] this is the per-fsync batch size the cross-shard
           group commit achieves. *)
   mutable d_snapshots : int;  (** Fuzzy snapshots written this run. *)
+  mutable d_snapshot_errors : int;
+      (** Snapshot ticks that failed (disk full, permissions): the
+          service keeps serving and the WAL keeps growing, so a
+          non-zero value means durability is degraded. *)
   mutable d_wal_truncations : int;
   mutable d_recovery_replayed_records : int;
       (** Good WAL records replayed at startup. *)
@@ -258,6 +271,10 @@ val gossip_repair_objects : t -> int
 val intern_hits : t -> int
 val intern_misses : t -> int
 (** Name-intern cache aggregates over the I/O loops. *)
+
+val spin_polls : t -> int
+val spin_hits : t -> int
+(** Spin-then-block aggregates over the I/O loops. *)
 
 val merge_tasks : t -> int
 val boundary_kicks : t -> int

@@ -29,6 +29,16 @@
     the basis of the exact accuracy self-check recorded in
     {!Metrics}.
 
+    Between cycles a loop spins, then blocks. For 50 µs after a cycle
+    that handled an event it polls with a zero timeout, so a client's
+    next request is picked up without a sleep and a cross-CPU wakeup
+    in the kernel; after that it blocks in the poller as usual. A
+    backwards clock step ends the window. On a 2-core host this raised
+    window-1 throughput about 1.3x and cut read p50 from ~19 to ~14
+    µs. The cost is up to one core per loop while load lasts and none
+    when idle. [Metrics.io_loop]'s [l_spin_polls]/[l_spin_hits] count
+    the polls and the ones that returned events.
+
     Backpressure: the server never sheds a request (it never sends
     BUSY). A connection whose unwritten output exceeds a watermark
     stops being read until the client drains it, so a client that

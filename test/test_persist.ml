@@ -279,6 +279,29 @@ let test_snapshot_corrupt_ignored () =
       check Alcotest.bool "snapshot not loaded" false
         r.Persist.Recovery.r_snapshot_loaded)
 
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* A full disk: the temp file is /dev/full, so the write fails with
+   ENOSPC. The fd must be closed and the previous snapshot must still
+   load. *)
+let test_snapshot_enospc () =
+  with_dir (fun dir ->
+      let before = [ ("c", D.Counter [| 1; 2 |]) ] in
+      Persist.Snapshot.write ~dir ~wal_index:3 before;
+      Unix.symlink "/dev/full" (Persist.Snapshot.path dir ^ ".tmp");
+      let fds = open_fds () in
+      (match
+         Persist.Snapshot.write ~dir ~wal_index:9 [ ("c", D.Counter [| 7 |]) ]
+       with
+       | () -> Alcotest.fail "write to /dev/full succeeded"
+       | exception Unix.Unix_error (ENOSPC, _, _) -> ());
+      check Alcotest.int "no fd leaked" fds (open_fds ());
+      match Persist.Snapshot.load ~dir with
+      | Some (loaded, 3) ->
+        check Alcotest.bool "previous snapshot intact" true
+          (entries_equal before loaded)
+      | _ -> Alcotest.fail "previous snapshot lost")
+
 let test_recovery_merges_snapshot_and_log () =
   with_dir (fun dir ->
       Persist.Snapshot.write ~dir ~wal_index:1
@@ -389,6 +412,45 @@ let scan_int json key =
       incr stop
     done;
     int_of_string_opt (String.sub json start (!stop - start))
+
+(* The server counts a failed snapshot tick in STATS and keeps
+   serving. *)
+let test_snapshot_errors_counted () =
+  with_dir (fun dir ->
+      Unix.symlink "/dev/full" (Persist.Snapshot.path dir ^ ".tmp");
+      let config =
+        { Service.Server.default_config with
+          data_dir = Some dir;
+          snapshot_interval_ms = 10 }
+      in
+      let srv =
+        Service.Server.start ~config ~listen:(`Unix (dir ^ ".sock")) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Service.Server.stop srv)
+        (fun () ->
+          let d = Service.Metrics.durability (Service.Server.metrics srv) in
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while
+            d.Service.Metrics.d_snapshot_errors < 2
+            && Unix.gettimeofday () < deadline
+          do
+            Unix.sleepf 0.01
+          done;
+          Alcotest.(check bool) "failed ticks counted" true
+            (d.Service.Metrics.d_snapshot_errors >= 2);
+          check Alcotest.int "no snapshot written" 0
+            d.Service.Metrics.d_snapshots;
+          let c = Service.Client.connect (Service.Server.sockaddr srv) in
+          Fun.protect
+            ~finally:(fun () -> Service.Client.close c)
+            (fun () ->
+              ignore (Service.Client.inc c "c0");
+              let json = Service.Client.stats_json c in
+              Alcotest.(check bool) "STATS shows snapshot_errors" true
+                (match scan_int json "snapshot_errors" with
+                 | Some n -> n >= 2
+                 | None -> false))))
 
 let test_kill9_restart_replays () =
   with_dir (fun dir ->
@@ -584,7 +646,10 @@ let () =
       ("snapshot",
        [ QCheck_alcotest.to_alcotest test_snapshot_roundtrip;
          ("corrupt snapshot is ignored", `Quick,
-          test_snapshot_corrupt_ignored) ]);
+          test_snapshot_corrupt_ignored);
+         ("ENOSPC write closes its fd", `Quick, test_snapshot_enospc);
+         ("failed ticks counted in STATS", `Quick,
+          test_snapshot_errors_counted) ]);
       ("recovery",
        [ ("snapshot + log merge", `Quick,
           test_recovery_merges_snapshot_and_log) ]);

@@ -1,9 +1,10 @@
 (* End-to-end tests of the sharded service over a Unix-domain socket:
    correctness of served ops, the k-multiplicative accuracy self-check
    against the debug exact counter, the STATS op, the run-to-completion
-   mechanism (no reply wakeups, the shard lock across loops),
-   watermark backpressure, and chaos (clients killed mid-request must
-   leave every shard serviceable). *)
+   mechanism (no reply wakeups, the shard lock across loops), the
+   spin-then-block wait between cycles, watermark backpressure, and
+   chaos (clients killed mid-request must leave every shard
+   serviceable). *)
 
 module Srv = Service.Server
 module Cl = Service.Client
@@ -275,7 +276,8 @@ let test_loadgen_4_shards poller () =
         [ "\"acc_violations_total\": 0"; "latency_ns"; "read_batch";
           "\"kind\": \"kcounter\""; "total_ops";
           Printf.sprintf "\"poller\": %S" (Srv.poller_name srv);
-          "max_ready_batch"; "\"poller_rejects\": 0" ])
+          "max_ready_batch"; "\"poller_rejects\": 0"; "spin_polls";
+          "spin_hits" ])
 
 (* A registry too large for one response (4096 hosted counters is
    well past the 1 MiB cap) must be refused with an error reply; the
@@ -511,6 +513,76 @@ let test_shard_lock_across_loops shards () =
         ((M.io_loop m 0).M.l_cycles > 0 && (M.io_loop m 1).M.l_cycles > 0))
 
 (* ------------------------------------------------------------------ *)
+(* Spin, then block                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let spin_config poller =
+  { Srv.default_config with shards = 1; io_domains = 1; poller }
+
+(* A closed loop of window-1 ops: the next request lands while the
+   loop is still polling after the previous reply, so some zero-timeout
+   polls return it. *)
+let test_spin_hits poller () =
+  with_server ~config:(spin_config poller) (fun srv ->
+      let c = Cl.connect (Srv.sockaddr srv) in
+      for i = 1 to 200 do
+        if i mod 4 = 0 then ignore (value_exn (Cl.inc c "faa"))
+        else ignore (value_exn (Cl.read_op c "c0"))
+      done;
+      Cl.close c;
+      let il = M.io_loop (Srv.metrics srv) 0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "spin hits (%d of %d polls)" il.M.l_spin_hits
+           il.M.l_spin_polls)
+        true
+        (il.M.l_spin_hits > 0 && il.M.l_spin_hits <= il.M.l_spin_polls))
+
+(* Once the load stops the window expires and the loop blocks again:
+   no zero-timeout poll is issued while it is idle. *)
+let test_spin_bounded () =
+  with_server ~config:(spin_config Service.Poller.Auto) (fun srv ->
+      let c = Cl.connect (Srv.sockaddr srv) in
+      for _ = 1 to 200 do
+        ignore (value_exn (Cl.read_op c "c0"))
+      done;
+      let il = M.io_loop (Srv.metrics srv) 0 in
+      Alcotest.(check bool) "the load spun" true (il.M.l_spin_polls > 0);
+      Unix.sleepf 0.02;
+      let before = il.M.l_spin_polls in
+      Unix.sleepf 0.05;
+      check Alcotest.int "no spin polls while idle" before il.M.l_spin_polls;
+      Cl.close c)
+
+(* [stop] sets the flag every spin poll checks: it returns promptly
+   while a client keeps the loop busy. *)
+let test_stop_under_spin () =
+  let srv =
+    Srv.start ~config:(spin_config Service.Poller.Auto)
+      ~listen:(`Unix (sock_path ())) ()
+  in
+  let c = Cl.connect (Srv.sockaddr srv) in
+  let ops = Atomic.make 0 in
+  let load =
+    Domain.spawn (fun () ->
+        try
+          while true do
+            ignore (Cl.read_op c "c0");
+            Atomic.incr ops
+          done
+        with _ -> ())
+  in
+  await (fun () -> Atomic.get ops >= 100);
+  Alcotest.(check bool) "load was running" true (Atomic.get ops >= 100);
+  let t0 = Unix.gettimeofday () in
+  Srv.stop srv;
+  let took = Unix.gettimeofday () -. t0 in
+  Domain.join load;
+  Cl.close c;
+  Alcotest.(check bool)
+    (Printf.sprintf "stop took %.3f s" took)
+    true (took < 1.0)
+
+(* ------------------------------------------------------------------ *)
 (* Connection lifecycle: churn, max_conns, multi-loop ownership        *)
 (* ------------------------------------------------------------------ *)
 
@@ -726,6 +798,11 @@ let () =
           test_shard_lock_across_loops 1);
          ("shard lock across 2 loops, 2 shards", `Quick,
           test_shard_lock_across_loops 2) ]);
+      ("spin",
+       per_poller (fun () ->
+           [ ("window-1 ops hit the spin", `Quick, test_spin_hits) ])
+       @ [ ("idle loop blocks again", `Quick, test_spin_bounded);
+           ("stop is prompt under load", `Quick, test_stop_under_spin) ]);
       ("backpressure",
        [ ("burst answered, no BUSY, stays up", `Quick,
           test_backpressure_bounded);

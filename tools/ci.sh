@@ -191,6 +191,8 @@ service_smoke() {
     || { echo "stats JSON missing op counters"; exit 1; }
   grep -q '"io_loops"' /tmp/approx_ci_stats.json \
     || { echo "stats JSON missing per-io-loop metrics"; exit 1; }
+  grep -q '"spin_hits"' /tmp/approx_ci_stats.json \
+    || { echo "stats JSON missing the spin-poll counters"; exit 1; }
   grep -q '"io_domains": 2' /tmp/approx_ci_stats.json \
     || { echo "stats JSON missing the io-domain count"; exit 1; }
   grep -q '"cycle_ns"' /tmp/approx_ci_stats.json \
@@ -263,6 +265,8 @@ done
 "$EXE" stats --unix "$DURSOCK" > /tmp/approx_ci_dur_stats.json
 grep -q '"wal_appends"' /tmp/approx_ci_dur_stats.json \
   || { echo "stats JSON missing durability counters"; exit 1; }
+grep -q '"snapshot_errors": 0' /tmp/approx_ci_dur_stats.json \
+  || { echo "stats JSON shows failed snapshot ticks"; exit 1; }
 if grep -q '"recovery_replayed_records": 0,' /tmp/approx_ci_dur_stats.json \
    && ! grep -q '"recovery_snapshot_loaded": true' /tmp/approx_ci_dur_stats.json; then
   echo "restart after kill -9 recovered nothing from disk"; exit 1
