@@ -14,9 +14,15 @@ let counter_tests () =
   let n = 4 in
   let kc = Mcore.Mc_kcounter.create ~n ~k:2 () in
   let faa = Mcore.Mc_baselines.Faa_counter.create () in
-  let col = Mcore.Mc_baselines.Collect_counter.create ~n in
+  let col =
+    Mcore.Atomic_algo.Collect_counter.create (Backend.Atomic_backend.ctx ())
+      ~n ()
+  in
   let lock = Mcore.Mc_baselines.Lock_counter.create () in
-  let kadd = Mcore.Mc_more_counters.Kadditive.create ~n ~k:256 () in
+  let kadd =
+    Mcore.Atomic_algo.Collect_counter.create (Backend.Atomic_backend.ctx ())
+      ~n ~k:256 ()
+  in
   let tree = Mcore.Mc_more_counters.Tree_counter.create ~n () in
   Test.make_grouped ~name:"e1.counter-ops"
     [ Test.make ~name:"kcounter-inc"
@@ -27,16 +33,16 @@ let counter_tests () =
         (Staged.stage (fun () -> Mcore.Mc_baselines.Faa_counter.increment faa));
       Test.make ~name:"collect-inc"
         (Staged.stage (fun () ->
-             Mcore.Mc_baselines.Collect_counter.increment col ~pid:0));
+             Mcore.Atomic_algo.Collect_counter.increment col ~pid:0));
       Test.make ~name:"collect-read"
         (Staged.stage (fun () ->
-             ignore (Mcore.Mc_baselines.Collect_counter.read col)));
+             ignore (Mcore.Atomic_algo.Collect_counter.read col ~pid:0)));
       Test.make ~name:"lock-inc"
         (Staged.stage (fun () ->
              Mcore.Mc_baselines.Lock_counter.increment lock));
       Test.make ~name:"kadditive-inc"
         (Staged.stage (fun () ->
-             Mcore.Mc_more_counters.Kadditive.increment kadd ~pid:0));
+             Mcore.Atomic_algo.Collect_counter.increment kadd ~pid:0));
       Test.make ~name:"tree-inc"
         (Staged.stage (fun () ->
              Mcore.Mc_more_counters.Tree_counter.increment tree ~pid:0));
@@ -46,7 +52,9 @@ let counter_tests () =
 
 let maxreg_tests () =
   let kmr = Mcore.Mc_kmaxreg.create ~m:(1 lsl 30) ~k:2 () in
-  let cas = Mcore.Mc_baselines.Cas_maxreg.create () in
+  let cas =
+    Mcore.Atomic_algo.Cas_maxreg.create (Backend.Atomic_backend.ctx ()) ()
+  in
   let tick = ref 0 in
   Test.make_grouped ~name:"e4.maxreg-ops"
     [ Test.make ~name:"kmaxreg-write"
@@ -58,10 +66,11 @@ let maxreg_tests () =
       Test.make ~name:"cas-maxreg-write"
         (Staged.stage (fun () ->
              incr tick;
-             Mcore.Mc_baselines.Cas_maxreg.write cas (!tick land 0x3FFFFFF)));
+             Mcore.Atomic_algo.Cas_maxreg.write cas ~pid:0
+               (!tick land 0x3FFFFFF)));
       Test.make ~name:"cas-maxreg-read"
         (Staged.stage (fun () ->
-             ignore (Mcore.Mc_baselines.Cas_maxreg.read cas))) ]
+             ignore (Mcore.Atomic_algo.Cas_maxreg.read cas ~pid:0))) ]
 
 let sim_tests () =
   (* Whole mini-executions: 4 processes, 64 ops each. *)
@@ -80,12 +89,15 @@ let sim_tests () =
     [ Test.make ~name:"kcounter-256ops"
         (Staged.stage
            (run_sim (fun exec ~n ->
-                Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k:2 ()))));
+                Sim_algo.Kcounter.handle
+                  (Sim_algo.Kcounter.create (Sim_backend.ctx exec)
+                     ~n ~k:2 ()))));
       Test.make ~name:"collect-256ops"
         (Staged.stage
            (run_sim (fun exec ~n ->
-                Counters.Collect_counter.handle
-                  (Counters.Collect_counter.create exec ~n ()))));
+                Sim_algo.Collect_counter.handle
+                  (Sim_algo.Collect_counter.create (Sim_backend.ctx exec)
+                     ~n ()))));
       Test.make ~name:"tree-256ops"
         (Staged.stage
            (run_sim (fun exec ~n ->

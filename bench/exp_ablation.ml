@@ -55,9 +55,9 @@ let starvation_steps ~variant_read ~incs =
 
 let run_helping_ablation () =
   let with_helping exec ~n ~k =
-    let c = Approx.Kcounter.create exec ~n ~k () in
-    ((fun ~pid -> Approx.Kcounter.increment c ~pid),
-     fun ~pid -> Approx.Kcounter.read c ~pid)
+    let c = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
+    ((fun ~pid -> Sim_algo.Kcounter.increment c ~pid),
+     fun ~pid -> Sim_algo.Kcounter.read c ~pid)
   in
   let without_helping exec ~n ~k =
     let c = Approx.Kcounter_variants.No_helping.create exec ~n ~k () in
@@ -129,7 +129,8 @@ let run_probe_ablation () =
         let incs = 2_000_000 in
         let with_cursor =
           total_inc_steps ~k ~incs ~make:(fun exec ~n ~k ->
-              Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ()))
+              Sim_algo.Kcounter.handle
+                (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
         in
         let without_cursor =
           total_inc_steps ~k ~incs ~make:(fun exec ~n ~k ->
@@ -156,7 +157,8 @@ let run_cost_ablation () =
   let variants =
     [ ("Algorithm 1",
        fun exec ~n ~k ->
-         Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ()));
+         Sim_algo.Kcounter.handle
+           (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()));
       ("no-probe-resume",
        fun exec ~n ~k ->
          Approx.Kcounter_variants.No_probe_resume.handle
@@ -218,12 +220,14 @@ let run_additive () =
           [ 4; 16; 64; 256 ])
       [ ("k-multiplicative (Alg 1)",
          fun exec ~n ~k ->
-           Approx.Kcounter.handle
-             (Approx.Kcounter.create exec ~n ~k:(max 2 k) ()));
+           Sim_algo.Kcounter.handle
+             (Sim_algo.Kcounter.create (Sim_backend.ctx exec)
+                ~n ~k:(max 2 k) ()));
         ("k-additive (flush batching)",
          fun exec ~n ~k ->
-           Approx.Kadditive_counter.handle
-             (Approx.Kadditive_counter.create exec ~n ~k ())) ]
+           Sim_algo.Collect_counter.handle
+             (Sim_algo.Collect_counter.create (Sim_backend.ctx exec)
+                ~n ~k ())) ]
   in
   Tables.print_table
     ~title:(Printf.sprintf "n = %d, 30%% reads" n)

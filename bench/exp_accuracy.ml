@@ -15,13 +15,13 @@
 
 let random_schedule_violations ~n ~k ~seed =
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let script =
     Workload.Script.counter_mix ~seed ~n ~ops_per_process:500
       ~read_fraction:0.25
   in
   let programs =
-    Workload.Script.counter_programs (Approx.Kcounter.handle counter) script
+    Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter) script
   in
   ignore (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random seed) ());
   let ops = Lincheck.History.of_trace (Sim.Exec.trace exec) in
@@ -49,7 +49,7 @@ let hoarding_read ~n ~k =
   (* Every incrementer performs k^2 + k increments solo (announcing only
      the cheap early switches), then a reader reads. *)
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let result = ref 0 in
   let per_process = (k * k) + k + 1 in
   let programs =
@@ -57,11 +57,11 @@ let hoarding_read ~n ~k =
         if i = n - 1 then fun pid ->
           result :=
             Sim.Api.op_int ~name:"read" (fun () ->
-                Approx.Kcounter.read counter ~pid)
+                Sim_algo.Kcounter.read counter ~pid)
         else fun pid ->
           for _ = 1 to per_process do
             Sim.Api.op_unit ~name:"inc" (fun () ->
-                Approx.Kcounter.increment counter ~pid)
+                Sim_algo.Kcounter.increment counter ~pid)
           done)
   in
   ignore
@@ -96,9 +96,9 @@ let parked_corner ~n ~k ~read =
 
 let run_erratum () =
   let original exec ~n ~k =
-    let c = Approx.Kcounter.create exec ~n ~k () in
-    ((fun ~pid -> Approx.Kcounter.increment c ~pid),
-     fun ~pid -> Approx.Kcounter.read c ~pid)
+    let c = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
+    ((fun ~pid -> Sim_algo.Kcounter.increment c ~pid),
+     fun ~pid -> Sim_algo.Kcounter.read c ~pid)
   in
   let corrected exec ~n ~k =
     let c = Approx.Kcounter_variants.Startup_corrected.create exec ~n ~k () in

@@ -8,8 +8,10 @@
    implementation. Entries are amortized steps per operation. *)
 
 let make_impls ~n ~k exec =
-  [ Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ());
-    Counters.Collect_counter.handle (Counters.Collect_counter.create exec ~n ());
+  [ Sim_algo.Kcounter.handle
+      (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ());
+    Sim_algo.Collect_counter.handle
+      (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ());
     Counters.Tree_counter.handle (Counters.Tree_counter.create exec ~n ());
     Counters.Faa_counter.handle (Counters.Faa_counter.create exec ()) ]
 

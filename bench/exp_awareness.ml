@@ -17,13 +17,13 @@
 let impls ~k =
   [ ("kcounter",
      (fun exec ~n ->
-        Approx.Kcounter.handle
-          (Approx.Kcounter.create exec ~n ~k:(max 2 k) ())),
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:(max 2 k) ())),
      fun ~n -> Approx.Accuracy.valid_k ~k:(max 2 k) ~n);
     ("collect",
      (fun exec ~n ->
-        Counters.Collect_counter.handle
-          (Counters.Collect_counter.create exec ~n ())),
+        Sim_algo.Collect_counter.handle
+          (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ())),
      fun ~n:_ -> true) ]
 
 (* The arity effect behind Theorem III.11's log_{q+1} base: with arity-q

@@ -55,12 +55,14 @@ let cases =
   [ counter_case ~label:"kcounter (Alg 1), k=2"
       ~spec:(Lincheck.Spec.k_counter ~k:2)
       ~make:(fun exec ~n ->
-        Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k:2 ()))
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 ()))
       [| [ Inc; Inc; Read ]; [ Inc; Inc; Read ] |];
     counter_case ~label:"kcounter 3 procs"
       ~spec:(Lincheck.Spec.k_counter ~k:2)
       ~make:(fun exec ~n ->
-        Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k:2 ()))
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 ()))
       [| [ Inc; Read ]; [ Inc; Read ]; [ Inc; Read ] |];
     counter_case ~label:"startup-corrected kcounter"
       ~spec:(Lincheck.Spec.k_counter ~k:2)
@@ -71,14 +73,14 @@ let cases =
     counter_case ~label:"collect counter (exact)"
       ~spec:Lincheck.Spec.exact_counter
       ~make:(fun exec ~n ->
-        Counters.Collect_counter.handle
-          (Counters.Collect_counter.create exec ~n ()))
+        Sim_algo.Collect_counter.handle
+          (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ()))
       [| [ Inc; Read ]; [ Inc; Read ]; [ Inc; Read ] |];
     counter_case ~label:"kadditive counter, k=3"
       ~spec:(Lincheck.Spec.k_additive_counter ~k:3)
       ~make:(fun exec ~n ->
-        Approx.Kadditive_counter.handle
-          (Approx.Kadditive_counter.create exec ~n ~k:3 ()))
+        Sim_algo.Collect_counter.handle
+          (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ~k:3 ()))
       [| [ Inc; Inc; Read ]; [ Inc; Inc; Read ] |];
     maxreg_case ~label:"kmaxreg (Alg 2), m=5 k=2"
       ~spec:(Lincheck.Spec.k_max_register ~k:2)
@@ -88,7 +90,8 @@ let cases =
     maxreg_case ~label:"tree maxreg (exact), m=8"
       ~spec:Lincheck.Spec.exact_max_register
       ~make:(fun exec ~n:_ ->
-        Maxreg.Tree_maxreg.handle (Maxreg.Tree_maxreg.create exec ~m:8 ()))
+        Sim_algo.Tree_maxreg.handle
+          (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m:8 ()))
       [| [ Write 3; Read ]; [ Write 6; Read ] |];
     maxreg_case ~label:"BROKEN collect maxreg (control)"
       ~spec:Lincheck.Spec.exact_max_register ~make:broken_collect_maxreg

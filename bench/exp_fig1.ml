@@ -23,24 +23,24 @@ let k = 4
 let scenario ~incs =
   let n = 2 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let result = ref 0 in
   let programs =
     [| (fun pid ->
          for _ = 1 to incs do
            Sim.Api.op_unit ~name:"inc" (fun () ->
-               Approx.Kcounter.increment counter ~pid)
+               Sim_algo.Kcounter.increment counter ~pid)
          done);
        (fun pid ->
          result :=
            Sim.Api.op_int ~name:"read" (fun () ->
-               Approx.Kcounter.read counter ~pid)) |]
+               Sim_algo.Kcounter.read counter ~pid)) |]
   in
   ignore
     (Sim.Exec.run exec ~programs
        ~policy:(Sim.Schedule.Seq [ Sim.Schedule.Solo 0; Sim.Schedule.Solo 1 ])
        ());
-  (Approx.Kcounter.switch_states counter, !result)
+  (Sim_algo.Kcounter.switch_states counter, !result)
 
 let render states =
   let max_index =
@@ -48,7 +48,7 @@ let render states =
   in
   let bit i =
     match List.assoc_opt i states with
-    | Some b -> string_of_int b
+    | Some b -> if b then "1" else "0"
     | None -> "0"
   in
   let buf = Buffer.create 64 in

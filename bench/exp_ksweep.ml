@@ -7,7 +7,7 @@
 
 let measure ~n ~k ~ops_per_process ~seed =
   let exec = Sim.Exec.create ~trace_steps:false ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   (* Track the true number of completed increments to score read error.
      The count is maintained by the driver (local computation). *)
   let completed = ref 0 in
@@ -15,7 +15,7 @@ let measure ~n ~k ~ops_per_process ~seed =
   let script =
     Workload.Script.counter_mix ~seed ~n ~ops_per_process ~read_fraction:0.3
   in
-  let handle = Approx.Kcounter.handle counter in
+  let handle = Sim_algo.Kcounter.handle counter in
   let counting_handle =
     { handle with
       Obj_intf.c_inc =

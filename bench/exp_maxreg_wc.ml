@@ -26,12 +26,13 @@ let kmaxreg_ops ~m ~k exec ~n =
     ignore (Sim.Api.op_int ~name:"read" (fun () -> Approx.Kmaxreg.read mr ~pid))
 
 let exact_ops ~m exec ~n:_ =
-  let mr = Maxreg.Tree_maxreg.create exec ~m () in
+  let mr = Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m () in
   fun pid ->
     Sim.Api.op_unit ~name:"write" (fun () ->
-        Maxreg.Tree_maxreg.write mr ~pid (m - 1));
+        Sim_algo.Tree_maxreg.write mr ~pid (m - 1));
     ignore
-      (Sim.Api.op_int ~name:"read" (fun () -> Maxreg.Tree_maxreg.read mr ~pid))
+      (Sim.Api.op_int ~name:"read" (fun () ->
+           Sim_algo.Tree_maxreg.read mr ~pid))
 
 (* Open-question exploration (Section VI): reads of an m-bounded
    k-multiplicative counter can be made worst-case optimal

@@ -10,10 +10,14 @@ let inc_throughput ~domains ~ops =
   let k = max 2 (Zmath.ceil_sqrt domains) in
   let kc = Mcore.Mc_kcounter.create ~n:domains ~k () in
   let faa = Mcore.Mc_baselines.Faa_counter.create () in
-  let col = Mcore.Mc_baselines.Collect_counter.create ~n:domains in
+  let col =
+    Mcore.Atomic_algo.Collect_counter.create (Backend.Atomic_backend.ctx ())
+      ~n:domains ()
+  in
   let lock = Mcore.Mc_baselines.Lock_counter.create () in
   let kadd =
-    Mcore.Mc_more_counters.Kadditive.create ~n:domains ~k:(domains * 64) ()
+    Mcore.Atomic_algo.Collect_counter.create (Backend.Atomic_backend.ctx ())
+      ~n:domains ~k:(domains * 64) ()
   in
   let tree = Mcore.Mc_more_counters.Tree_counter.create ~n:domains () in
   let measure worker =
@@ -25,17 +29,19 @@ let inc_throughput ~domains ~ops =
     ("faa", measure (fun ~pid:_ ~op_index:_ ->
          Mcore.Mc_baselines.Faa_counter.increment faa));
     ("collect", measure (fun ~pid ~op_index:_ ->
-         Mcore.Mc_baselines.Collect_counter.increment col ~pid));
+         Mcore.Atomic_algo.Collect_counter.increment col ~pid));
     ("lock", measure (fun ~pid:_ ~op_index:_ ->
          Mcore.Mc_baselines.Lock_counter.increment lock));
     ("kadditive", measure (fun ~pid ~op_index:_ ->
-         Mcore.Mc_more_counters.Kadditive.increment kadd ~pid));
+         Mcore.Atomic_algo.Collect_counter.increment kadd ~pid));
     ("aach-tree", measure (fun ~pid ~op_index:_ ->
          Mcore.Mc_more_counters.Tree_counter.increment tree ~pid)) ]
 
 let maxreg_throughput ~domains ~ops =
   let kmr = Mcore.Mc_kmaxreg.create ~m:(1 lsl 30) ~k:2 () in
-  let cas = Mcore.Mc_baselines.Cas_maxreg.create () in
+  let cas =
+    Mcore.Atomic_algo.Cas_maxreg.create (Backend.Atomic_backend.ctx ()) ()
+  in
   let measure worker =
     (Mcore.Throughput.run ~domains ~ops_per_domain:ops ~worker).ops_per_sec
     /. 1_000_000.0
@@ -43,7 +49,7 @@ let maxreg_throughput ~domains ~ops =
   [ ("kmaxreg", measure (fun ~pid ~op_index ->
          Mcore.Mc_kmaxreg.write kmr ((op_index * domains) + pid + 1)));
     ("cas-loop", measure (fun ~pid ~op_index ->
-         Mcore.Mc_baselines.Cas_maxreg.write cas
+         Mcore.Atomic_algo.Cas_maxreg.write cas ~pid
            ((op_index * domains) + pid + 1))) ]
 
 let run () =

@@ -37,8 +37,9 @@ let run_maxreg () =
                   Approx.Kmaxreg.handle
                     (Approx.Kmaxreg.create exec ~n ~m ~k ()));
               for_impl "exact" (fun exec ~n:_ ->
-                  Maxreg.Tree_maxreg.handle
-                    (Maxreg.Tree_maxreg.create exec ~m ())) ])
+                  Sim_algo.Tree_maxreg.handle
+                    (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec)
+                       ~m ())) ])
           [ 2; 4 ])
       [ 12; 24; 36; 48 ]
   in
@@ -76,11 +77,13 @@ let run_counter () =
                 string_of_int final.Lowerbound.Perturb.read_steps ]
             in
             [ for_impl "kcounter" (fun exec ~n ->
-                  Approx.Kcounter.handle
-                    (Approx.Kcounter.create exec ~n ~k:(max 2 k) ()));
+                  Sim_algo.Kcounter.handle
+                    (Sim_algo.Kcounter.create (Sim_backend.ctx exec)
+                       ~n ~k:(max 2 k) ()));
               for_impl "collect" (fun exec ~n ->
-                  Counters.Collect_counter.handle
-                    (Counters.Collect_counter.create exec ~n ())) ])
+                  Sim_algo.Collect_counter.handle
+                    (Sim_algo.Collect_counter.create (Sim_backend.ctx exec)
+                       ~n ())) ])
           [ 2; 4 ])
       [ 10_000; 100_000; 1_000_000 ]
   in

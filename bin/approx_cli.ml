@@ -98,9 +98,12 @@ let counter_impl_arg =
 
 let make_counter impl exec ~n ~k =
   match impl with
-  | `K -> Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ())
+  | `K ->
+    Sim_algo.Kcounter.handle
+      (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ())
   | `Collect ->
-    Counters.Collect_counter.handle (Counters.Collect_counter.create exec ~n ())
+    Sim_algo.Collect_counter.handle
+      (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ())
   | `Tree -> Counters.Tree_counter.handle (Counters.Tree_counter.create exec ~n ())
   | `Snapshot ->
     Counters.Snapshot_counter.handle
@@ -174,7 +177,9 @@ let maxreg_impl_arg =
 let make_maxreg impl exec ~n ~m ~k =
   match impl with
   | `K -> Approx.Kmaxreg.handle (Approx.Kmaxreg.create exec ~n ~m ~k ())
-  | `Tree -> Maxreg.Tree_maxreg.handle (Maxreg.Tree_maxreg.create exec ~m ())
+  | `Tree ->
+    Sim_algo.Tree_maxreg.handle
+      (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m ())
   | `Linear -> Maxreg.Linear_maxreg.handle (Maxreg.Linear_maxreg.create exec ~n ())
   | `Unbounded ->
     Maxreg.Unbounded_maxreg.handle (Maxreg.Unbounded_maxreg.create exec ())
@@ -228,13 +233,13 @@ let maxreg_cmd =
 
 let run_lincheck n k ops seed =
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let script =
     Workload.Script.counter_mix ~seed ~n ~ops_per_process:ops
       ~read_fraction:0.5
   in
   let programs =
-    Workload.Script.counter_programs (Approx.Kcounter.handle counter) script
+    Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter) script
   in
   ignore (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random seed) ());
   let ops_arr = Lincheck.History.of_trace (Sim.Exec.trace exec) in
@@ -273,7 +278,8 @@ let run_awareness n k seed =
   let result =
     Lowerbound.Awareness_exp.run
       ~make:(fun exec ~n ->
-        Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ()))
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
       ~n ~k
       ~policy:(Sim.Schedule.Random seed)
   in
@@ -306,7 +312,8 @@ let run_perturb obj m k =
     | `Counter ->
       Lowerbound.Perturb.perturb_counter
         ~make:(fun exec ~n ->
-          Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ()))
+          Sim_algo.Kcounter.handle
+            (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
         ~m ~k
   in
   Printf.printf "%-6s %-14s %-14s %-8s %s\n" "round" "input" "response"
@@ -346,9 +353,9 @@ let run_explore n k incs limit =
   in
   let build () =
     let exec = Sim.Exec.create ~n () in
-    let counter = Approx.Kcounter.create exec ~n ~k () in
+    let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
     (exec,
-     Workload.Script.counter_programs (Approx.Kcounter.handle counter) script)
+     Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter) script)
   in
   let stats =
     Lincheck.Explore.exhaustive ~build ~spec:(Lincheck.Spec.k_counter ~k)
@@ -1207,5 +1214,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.13.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.14.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

@@ -20,13 +20,13 @@ let demo_lincheck () =
   pf "== 1. Machine-checked linearizability ==\n";
   let n = 3 and k = 2 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let script =
     Workload.Script.counter_mix ~seed:7 ~n ~ops_per_process:4
       ~read_fraction:0.5
   in
   let programs =
-    Workload.Script.counter_programs (Approx.Kcounter.handle counter) script
+    Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter) script
   in
   ignore (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random 7) ());
   let ops = Lincheck.History.of_trace (Sim.Exec.trace exec) in
@@ -46,7 +46,7 @@ let demo_small_k () =
      n is large relative to k^2. *)
   let demo ~n ~k =
     let exec = Sim.Exec.create ~n () in
-    let counter = Approx.Kcounter.create exec ~n ~k () in
+    let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
     let burst = (k * k) - 1 in
     (* below the k^2 announce threshold, after the switch_0 + interval-1
        phases: each process announces at 1, then k, then k^2... we stop
@@ -58,11 +58,11 @@ let demo_small_k () =
             reader_result :=
               Some
                 (Sim.Api.op_int ~name:"read" (fun () ->
-                     Approx.Kcounter.read counter ~pid))
+                     Sim_algo.Kcounter.read counter ~pid))
           else fun pid ->
             for _ = 1 to burst + k + 1 do
               Sim.Api.op_unit ~name:"inc" (fun () ->
-                  Approx.Kcounter.increment counter ~pid)
+                  Sim_algo.Kcounter.increment counter ~pid)
             done)
     in
     (* All incrementers run to completion, then the reader. *)
@@ -97,7 +97,8 @@ let demo_perturbation () =
       (Float.log (float_of_int (List.length rounds)) /. Float.log 2.0)
   in
   run "exact maxreg" (fun exec ~n:_ ->
-      Maxreg.Tree_maxreg.handle (Maxreg.Tree_maxreg.create exec ~m ()));
+      Sim_algo.Tree_maxreg.handle
+        (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m ()));
   run "k-mult maxreg" (fun exec ~n ->
       Approx.Kmaxreg.handle (Approx.Kmaxreg.create exec ~n ~m ~k ()));
   pf "  (Both obey the Omega(log2 L) bound; the approximate register \

@@ -15,17 +15,18 @@ let () =
   Printf.printf "== k-multiplicative-accurate counter (n=%d, k=%d) ==\n" n k;
 
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
 
   (* Each process: 1000 increments, then one read. *)
   let reads = Array.make n 0 in
   let program pid =
     for _ = 1 to 1_000 do
       Sim.Api.op_unit ~name:"inc" (fun () ->
-          Approx.Kcounter.increment counter ~pid)
+          Sim_algo.Kcounter.increment counter ~pid)
     done;
     reads.(pid) <-
-      Sim.Api.op_int ~name:"read" (fun () -> Approx.Kcounter.read counter ~pid)
+      Sim.Api.op_int ~name:"read" (fun () ->
+          Sim_algo.Kcounter.read counter ~pid)
   in
   let outcome =
     Sim.Exec.run exec ~programs:(Array.make n program)

@@ -19,7 +19,9 @@ let () =
   let m = 1 lsl 30 in
   let k = 2 in
 
-  let exact = Mcore.Mc_baselines.Cas_maxreg.create () in
+  let exact =
+    Mcore.Atomic_algo.Cas_maxreg.create (Backend.Atomic_backend.ctx ()) ()
+  in
   let approx = Mcore.Mc_kmaxreg.create ~m ~k () in
 
   (* Deterministic synthetic latency trace: a heavy-tailed-ish pattern with
@@ -45,11 +47,11 @@ let () =
     Mcore.Throughput.run ~domains ~ops_per_domain:samples_per_domain
       ~worker:(fun ~pid ~op_index ->
         let l = latency ~pid ~op_index in
-        Mcore.Mc_baselines.Cas_maxreg.write exact l;
+        Mcore.Atomic_algo.Cas_maxreg.write exact ~pid l;
         Mcore.Mc_kmaxreg.write approx l)
   in
 
-  let x_exact = Mcore.Mc_baselines.Cas_maxreg.read exact in
+  let x_exact = Mcore.Atomic_algo.Cas_maxreg.read exact ~pid:0 in
   let x_approx = Mcore.Mc_kmaxreg.read approx in
   Printf.printf "\n  true peak        : %d us\n" !true_peak;
   Printf.printf "  exact register   : %d us\n" x_exact;
@@ -65,14 +67,14 @@ let () =
      O(log2 log_k m) shape is visible (with n = 1 it would pick the O(n)
      collect and report one step). *)
   let exec = Sim.Exec.create ~n:8 () in
-  let exact_sim = Maxreg.Tree_maxreg.create exec ~m () in
+  let exact_sim = Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m () in
   let approx_sim = Approx.Kmaxreg.create exec ~n:8 ~m ~k () in
   let program pid =
     Sim.Api.op_unit ~name:"exact-write" (fun () ->
-        Maxreg.Tree_maxreg.write exact_sim ~pid (m - 1));
+        Sim_algo.Tree_maxreg.write exact_sim ~pid (m - 1));
     ignore
       (Sim.Api.op_int ~name:"exact-read" (fun () ->
-           Maxreg.Tree_maxreg.read exact_sim ~pid));
+           Sim_algo.Tree_maxreg.read exact_sim ~pid));
     Sim.Api.op_unit ~name:"approx-write" (fun () ->
         Approx.Kmaxreg.write approx_sim ~pid (m - 1));
     ignore

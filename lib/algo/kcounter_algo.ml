@@ -1,8 +1,8 @@
 (* Algorithm 1 — the wait-free linearizable k-multiplicative-accurate
    counter (Section III) — written once, over an abstract primitive
-   backend. The simulator wrapper (Approx.Kcounter) and the multicore
-   wrapper (Mcore.Mc_kcounter) are instantiations of this functor; see
-   those modules for the paper-facing documentation.
+   backend. Sim_algo.Kcounter and Mcore.Atomic_algo.Kcounter are its
+   instantiations; the interface carries the paper-facing
+   documentation.
 
    The body is the allocation-free formulation from the multicore
    rewrite: tail recursions instead of ref cells and exceptions, a

@@ -1,13 +1,33 @@
-(** Algorithm 1 as a functor over the primitive backend.
+(** Algorithm 1 as a functor over the primitive backend: the wait-free
+    linearizable unbounded k-multiplicative-accurate counter
+    (Section III), written once against {!Backend.Backend_intf.S}.
+    {!Sim_algo.Kcounter} instantiates it over {!Sim_backend} for
+    exact-step simulation, {!Mcore.Atomic_algo.Kcounter} over
+    {!Backend.Atomic_backend} for the zero-allocation multicore object
+    (wrapped by {!Mcore.Mc_kcounter}); a {!Backend.Chaos_backend}
+    decoration of either injects faults.
 
-    The k-multiplicative-accurate unbounded counter (Section III),
-    written once against {!Backend.Backend_intf.S}: test&set switch
-    probing, the helping array [H], persistent read-side locals.
-    Instantiate with {!Sim_backend} for exact-step simulation
-    ({!Approx.Kcounter}), {!Backend.Atomic_backend} for the
-    zero-allocation multicore object ({!Mcore.Mc_kcounter}), or a
-    {!Backend.Chaos_backend} decoration of either for fault
-    injection. *)
+    Shared state is an unbounded sequence of test&set bits
+    [switch_0, switch_1, ...] and a helping array [H] of [n] atomic
+    [(val, sn)] pairs. Each process counts its increments locally
+    ([lcounter]); on reaching its threshold [limit = k^j] it probes the
+    switches of interval [(j-1)k+1 .. jk] (or [switch_0] when [j = 0])
+    with test&set, announcing [k^j] increments when a probe succeeds.
+    Reads scan the first and last switch of each interval from a
+    persistent position [last] and derive the return value from the
+    last set switch seen; every [n] loop iterations they rescan [H] and
+    return through the helping mechanism once some process's sequence
+    number advanced by at least 2 within the read's interval.
+
+    Guarantees (Theorem III.9): wait-free; linearizable with every read
+    [x] of a true count [v] satisfying [v/k <= x <= v*k] provided
+    [k >= sqrt n]; constant amortized step complexity.
+
+    The body follows the paper's pseudocode line by line, with the two
+    reconstructions documented in DESIGN.md: [limit] is multiplied by
+    [k] exactly when a probe interval is exhausted (successfully at its
+    last switch, or unsuccessfully past it, or at [switch_0]), and the
+    read-side [(p, q)] pair is persistent alongside [last]. *)
 
 module Make (B : Backend.Backend_intf.S) : sig
   type t
@@ -69,7 +89,9 @@ module Make (B : Backend.Backend_intf.S) : sig
   (** [pid]'s unannounced local increment count; test hook. *)
 
   val switch_states : t -> (int * bool) list
-  (** Post-mortem dump of the materialised switches; no steps. *)
+  (** Post-mortem dump of the materialised switches as
+      [(index, is_set)] pairs, sorted by index — used by the Figure 1
+      reproduction and the switch-order property tests. No steps. *)
 
   val capacity : t -> int
   (** Current physical switch capacity (diagnostic). *)

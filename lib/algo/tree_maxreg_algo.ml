@@ -1,9 +1,6 @@
 (* The exact bounded max register of Aspnes-Attiya-Censor-Hillel: a
    switch tree over values 0 .. m-1, written once over the backend's
-   multi-writer registers. This is the body that used to exist twice —
-   as the lazily-materialised pointer tree in lib/maxreg/tree_maxreg.ml
-   and as the flat atomic heap in lib/mcore/mc_kmaxreg.ml — and whose
-   shapes drifted apart (the PR 1 tree-vs-heap divergence).
+   multi-writer registers.
 
    Layout: a 1-based heap of switch bits — node [i]'s children are [2i]
    and [2i+1] — walked over (index, span) integers (reads as a flat

@@ -73,30 +73,15 @@ let write r ~pid v =
    false-sharing between adjacent switches; the boxed walk's pointer
    chase only starts to lose once the working set outgrows a couple of
    cache lines (the BENCH mlp sweep quantifies the crossover). The
-   default threshold is deliberately far below the mlp cells' heap
-   sizes so large trees always get the flat layout.
+   threshold is deliberately far below the mlp cells' heap sizes so
+   large trees always get the flat layout.
 
    [version] is the array's monotone modification watermark: bumped
    with a fetch&add *after* each write lands (the signature's ordering
    contract — a write a reader hasn't seen the bump of belongs to an
    operation that hasn't returned). Padded so validation loads by
    readers never contend with the data cells. *)
-let default_flat_threshold = 256
-
-let flat_threshold =
-  ref
-    (match Sys.getenv_opt "APPROX_REG_FLAT_THRESHOLD" with
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> n
-      | _ -> default_flat_threshold)
-    | None -> default_flat_threshold)
-
-let set_flat_threshold n =
-  if n < 0 then invalid_arg "Atomic_backend.set_flat_threshold: negative";
-  flat_threshold := n
-
-let current_flat_threshold () = !flat_threshold
+let flat_threshold = 256
 
 type reg_cells =
   | Boxed of int Atomic.t array  (* small: padded box per slot *)
@@ -111,7 +96,7 @@ type reg_array = {
 let reg_array c ?name:_ ~len ~init () =
   if len < 0 then invalid_arg "Atomic_backend.reg_array: negative length";
   let cells =
-    if len >= !flat_threshold then Flat_cells (Flat.make len init)
+    if len >= flat_threshold then Flat_cells (Flat.make len init)
     else Boxed (Padded.atomic_array len init)
   in
   { ra_ctx = c; cells; ra_version = Padded.atomic 0 }

@@ -5,8 +5,8 @@
     Satisfies {!Backend_intf.S} with every operation allocation-free
     ([ann] is a {!Packed} immediate word). Layouts are chosen for
     memory-level parallelism: multi-writer register arrays of at
-    least {!default_flat_threshold} slots are one flat block at
-    stride 1 (tree siblings share cache lines; unrolled scans issue
+    least 256 slots (a constant) are one flat block at stride 1
+    (tree siblings share cache lines; unrolled scans issue
     independent line fetches; {!Backend_intf.S.reg_prefetch} is a
     real [__builtin_prefetch]), smaller ones stay one padded boxed
     [Atomic] per slot — cache-resident either way, and the padding
@@ -22,23 +22,6 @@
     reports both the index and the ceiling. *)
 
 include Backend_intf.S
-
-val default_flat_threshold : int
-(** 256: register arrays with at least this many slots get the
-    contiguous {!Flat} layout, smaller ones the boxed padded-[Atomic]
-    layout. Far below the BENCH mlp heap sizes, so the trees that
-    sweep measures always run flat. *)
-
-val set_flat_threshold : int -> unit
-(** Override the layout crossover for arrays created {e after} the
-    call ([0] forces every array flat, [max_int] forces every array
-    boxed). Also settable at process start through the
-    [APPROX_REG_FLAT_THRESHOLD] environment variable; a bench harness
-    pinning one layout should call this before building objects.
-    @raise Invalid_argument on a negative threshold. *)
-
-val current_flat_threshold : unit -> int
-(** The crossover now in force. *)
 
 val ctx : ?count_steps:int -> unit -> ctx
 (** [ctx ()] is a non-counting context ({!Backend_intf.S.steps}

@@ -23,7 +23,7 @@
       instead of [O(1)], breaking the [4(i+2)] read accounting in
       Lemma III.8.
 
-    All variants share {!Approx.Kcounter}'s shared-memory layout and are
+    All variants share {!Sim_algo.Kcounter}'s shared-memory layout and are
     linearizable k-multiplicative counters whenever the original is (the
     removals only affect liveness or step complexity, except where noted).
 *)

@@ -2,9 +2,11 @@
    (Algo.Kmaxreg_algo) over the Sim backend. The inner exact register
    stays Maxreg.Bounded_maxreg so the simulator keeps its tree-vs-
    linear(snapshot) selection — that choice is what realises the
-   O(min(log2 log_k m, n)) bound of Theorem IV.2. *)
+   O(min(log2 log_k m, n)) bound of Theorem IV.2. The create checks run
+   here because [inner_bound] needs a valid [k] and [m] before the
+   functor sees them. *)
 
-module A = Algo.Kmaxreg_algo.Make (Sim_backend)
+module A = Sim_algo.Kmaxreg
 
 type t = A.t
 
@@ -19,11 +21,7 @@ let create exec ?(name = "kmax") ~n ~m ~k () =
     ~inner:(Maxreg.Bounded_maxreg.handle inner)
     ~m ~k ()
 
-let write t ~pid v =
-  if v < 0 || v >= A.bound t then
-    invalid_arg "Kmaxreg.write: value out of range";
-  A.write t ~pid v
-
+let write = A.write
 let read = A.read
 let bound = A.bound
 let k = A.k

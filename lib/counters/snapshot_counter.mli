@@ -5,8 +5,8 @@
 
     Built on {!Prims.Snapshot}; both operations are [O(n^2)] steps with this
     textbook snapshot (the paper quotes [O(n)] for the best known snapshot;
-    we keep the classic one and use {!Collect_counter} as the tight [O(n)]
-    baseline). *)
+    we keep the classic one and use {!Sim_algo.Collect_counter} as the
+    tight [O(n)] baseline). *)
 
 type t
 

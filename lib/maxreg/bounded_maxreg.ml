@@ -1,3 +1,5 @@
+module Tree_maxreg = Sim_algo.Tree_maxreg
+
 type impl =
   | Tree of Tree_maxreg.t
   | Linear of Linear_maxreg.t
@@ -8,7 +10,8 @@ let create exec ?(name = "bmax") ~n ~m () =
   if m < 1 then invalid_arg "Bounded_maxreg.create: m < 1";
   if n < 1 then invalid_arg "Bounded_maxreg.create: n < 1";
   let impl =
-    if Zmath.ceil_log2 m <= n then Tree (Tree_maxreg.create exec ~name ~m ())
+    if Zmath.ceil_log2 m <= n then
+      Tree (Tree_maxreg.create (Sim_backend.ctx exec) ~name ~m ())
     else Linear (Linear_maxreg.create exec ~name ~n ())
   in
   { m; impl }

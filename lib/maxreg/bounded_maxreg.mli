@@ -3,8 +3,9 @@
     (Theorem IV.2 relies on [8]'s [O(min(log m, n))] object).
 
     Dispatches between the two exact constructions: the
-    {!Tree_maxreg} ([O(log2 m)] steps) when [ceil(log2 m) <= n], and the
-    {!Linear_maxreg} collect ([O(n)] steps) otherwise. *)
+    {!Sim_algo.Tree_maxreg} ([O(log2 m)] steps) when
+    [ceil(log2 m) <= n], and the {!Linear_maxreg} collect ([O(n)]
+    steps) otherwise. *)
 
 type t
 

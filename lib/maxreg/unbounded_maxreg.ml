@@ -1,3 +1,5 @@
+module Tree_maxreg = Sim_algo.Tree_maxreg
+
 let max_levels = 61
 
 type t = {
@@ -6,10 +8,12 @@ type t = {
 }
 
 let create exec ?(name = "umax") () =
-  { top = Tree_maxreg.create exec ~name:(name ^ ".top") ~m:(max_levels + 1) ();
+  { top =
+      Tree_maxreg.create (Sim_backend.ctx exec) ~name:(name ^ ".top")
+        ~m:(max_levels + 1) ();
     levels =
       Array.init max_levels (fun l ->
-          Tree_maxreg.create exec
+          Tree_maxreg.create (Sim_backend.ctx exec)
             ~name:(Printf.sprintf "%s.lvl%d" name l)
             ~m:(Zmath.pow 2 l) ()) }
 

@@ -4,10 +4,11 @@
     Two-level construction in the spirit of [8]'s unbounded extension (and
     of the object the paper borrows from Baig et al. [9]): values are split
     as [v = 2^l + offset] with [l = floor(log2 v)]. A small exact
-    {!Tree_maxreg} [T] (bound 63) holds the highest level written so far
-    (shifted by one so 0 means "nothing written"), and each level [l] has
-    its own lazily materialised [2^l]-bounded {!Tree_maxreg} holding the
-    maximum offset written at that level.
+    {!Sim_algo.Tree_maxreg} [T] (bound 63) holds the highest level
+    written so far (shifted by one so 0 means "nothing written"), and
+    each level [l] has its own lazily materialised [2^l]-bounded
+    {!Sim_algo.Tree_maxreg} holding the maximum offset written at that
+    level.
 
     [Write(v)] writes the offset into level [l]'s register and then [l+1]
     into [T]; [Read] reads [T] and then the top level's offset register.

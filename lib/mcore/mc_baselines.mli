@@ -1,8 +1,9 @@
 (** Multicore baseline objects for the throughput comparison (experiment
     E8): what the k-multiplicative objects are traded off against on real
-    hardware. [Collect_counter] and [Cas_maxreg] are instantiations of
-    the shared [lib/algo] baseline functors over
-    {!Backend.Atomic_backend}. *)
+    hardware. The collect counter and the CAS max register are the
+    shared [lib/algo] baselines, {!Atomic_algo.Collect_counter} and
+    {!Atomic_algo.Cas_maxreg}; the objects here have no simulator
+    counterpart. *)
 
 module Faa_counter : sig
   (** Single fetch&add cell: the hardware-primitive ideal; every increment
@@ -20,17 +21,6 @@ module Faa_counter : sig
   val read : t -> int
 end
 
-module Collect_counter : sig
-  (** One atomic cell per domain; increments are contention-free, reads sum
-      all cells — the multicore analogue of the exact [O(n)] counter. *)
-
-  type t
-
-  val create : n:int -> t
-  val increment : t -> pid:int -> unit
-  val read : t -> int
-end
-
 module Lock_counter : sig
   (** Mutex-protected integer: the blocking strawman. *)
 
@@ -38,16 +28,5 @@ module Lock_counter : sig
 
   val create : unit -> t
   val increment : t -> unit
-  val read : t -> int
-end
-
-module Cas_maxreg : sig
-  (** CAS-retry-loop exact max register: lock-free but writes contend on
-      one cell and can retry unboundedly under contention. *)
-
-  type t
-
-  val create : unit -> t
-  val write : t -> int -> unit
   val read : t -> int
 end

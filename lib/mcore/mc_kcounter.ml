@@ -1,10 +1,9 @@
-(* Algorithm 1 on real hardware: the shared functor body
-   (Algo.Kcounter_algo) instantiated with the Atomic backend. The
-   algorithm lives in lib/algo — this wrapper only preserves the
-   historical Mc_kcounter surface (validation messages, diagnostics,
-   the capacity exception). *)
+(* Algorithm 1 on real hardware: Atomic_algo.Kcounter, the shared
+   functor body over the Atomic backend. This module only keeps the
+   Mc_kcounter surface (the switch-capacity bound, diagnostics, the
+   capacity exception); the functor checks [n] and [k]. *)
 
-module A = Algo.Kcounter_algo.Make (Backend.Atomic_backend)
+module A = Atomic_algo.Kcounter
 
 exception Capacity_exceeded = Backend.Atomic_backend.Ts_capacity_exceeded
 
@@ -13,8 +12,6 @@ let max_capacity = A.max_capacity
 type t = A.t
 
 let create ?(switch_capacity = 1024) ~n ~k () =
-  if n < 1 then invalid_arg "Mc_kcounter.create: n < 1";
-  if k < 2 then invalid_arg "Mc_kcounter.create: k < 2";
   if switch_capacity < 1 || switch_capacity > max_capacity then
     invalid_arg "Mc_kcounter.create: switch_capacity out of range";
   A.create (Backend.Atomic_backend.ctx ()) ~capacity_hint:switch_capacity ~n ~k

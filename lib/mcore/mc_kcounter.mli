@@ -1,9 +1,9 @@
 (** Algorithm 1 on real hardware: the k-multiplicative-accurate counter
     over OCaml 5 [Atomic] cells, runnable across domains.
 
-    The algorithm body is {!Algo.Kcounter_algo} — the same functor
-    {!Approx.Kcounter} instantiates over the simulator — applied to
-    {!Backend.Atomic_backend}, with test&set realised as
+    The algorithm body is {!Atomic_algo.Kcounter}: the functor
+    {!Algo.Kcounter_algo} applied to {!Backend.Atomic_backend} (the
+    simulator's copy is {!Sim_algo.Kcounter}), with test&set realised as
     [Atomic.compare_and_set switch 0 1]. Each participating domain must
     own a distinct pid in [0 .. n-1]; per-pid local state is
     unsynchronised by design (the algorithm's locals are

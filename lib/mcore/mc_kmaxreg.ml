@@ -1,23 +1,15 @@
-(* Algorithm 2 on real hardware: the shared functor body
-   (Algo.Kmaxreg_algo, with its default Tree_maxreg_algo switch-heap
-   inner register) instantiated with the Atomic backend. The heap
-   layout that used to live here verbatim is now the shared
-   Algo.Tree_maxreg_algo body — the same one the simulator's
-   Maxreg.Tree_maxreg instantiates. *)
+(* Algorithm 2 on real hardware: Atomic_algo.Kmaxreg, the shared
+   functor body with its default Tree_maxreg_algo switch-heap inner
+   register, over the Atomic backend. This module only keeps the
+   pid-free Mc_kmaxreg surface (one cache, pid 0); the functor checks
+   [k], [m] and the written value. *)
 
-module A = Algo.Kmaxreg_algo.Make (Backend.Atomic_backend)
+module A = Atomic_algo.Kmaxreg
 
 type t = A.t
 
-let create ~m ~k () =
-  if k < 2 then invalid_arg "Mc_kmaxreg.create: k < 2";
-  if m < 2 then invalid_arg "Mc_kmaxreg.create: m < 2";
-  A.create (Backend.Atomic_backend.ctx ()) ~m ~k ()
-
-let write t v =
-  if v < 0 || v >= A.bound t then
-    invalid_arg "Mc_kmaxreg.write: value out of range";
-  A.write t ~pid:0 v
+let create ~m ~k () = A.create (Backend.Atomic_backend.ctx ()) ~m ~k ()
+let write t v = A.write t ~pid:0 v
 
 let read t = A.read t ~pid:0
 let read_fast t = A.read_fast t ~pid:0

@@ -1,11 +1,11 @@
 (** Algorithm 2 on real hardware: the k-multiplicative-accurate m-bounded
     max register over [Atomic] cells.
 
-    The body is {!Algo.Kmaxreg_algo} over {!Backend.Atomic_backend};
-    the exact inner max register is the shared
-    {!Algo.Tree_maxreg_algo} AACH switch heap over the index range
-    [0 .. floor(log_k (m-1)) + 1] (the same body the simulator's
-    {!Maxreg.Tree_maxreg} instantiates), so [write]/[read] cost
+    The body is {!Atomic_algo.Kmaxreg}, {!Algo.Kmaxreg_algo} over
+    {!Backend.Atomic_backend}; the exact inner max register is the
+    shared {!Algo.Tree_maxreg_algo} AACH switch heap over the index
+    range [0 .. floor(log_k (m-1)) + 1] (the same body as the
+    simulator's {!Sim_algo.Tree_maxreg}), so [write]/[read] cost
     [O(log2 log_k m)] shared accesses and allocate nothing. *)
 
 type t

@@ -1,31 +1,3 @@
-module Kadditive = struct
-  type t = {
-    cells : int Atomic.t array;  (* padded: one cell per pid *)
-    threshold : int;
-    pending : Backend.Padded.Int_array.t;  (* domain-local; one slot per pid *)
-  }
-
-  let create ~n ~k () =
-    if n < 1 then invalid_arg "Mc_more_counters.Kadditive: n < 1";
-    if k < 0 then invalid_arg "Mc_more_counters.Kadditive: k < 0";
-    { cells = Backend.Padded.atomic_array n 0;
-      threshold = (k / (n + 1)) + 1;
-      pending = Backend.Padded.Int_array.make n 0 }
-
-  let increment t ~pid =
-    let pending = Backend.Padded.Int_array.get t.pending pid + 1 in
-    if pending = t.threshold then begin
-      (* The cell is single-writer: a plain read-add-set is safe. *)
-      Atomic.set t.cells.(pid) (Atomic.get t.cells.(pid) + pending);
-      Backend.Padded.Int_array.set t.pending pid 0
-    end
-    else Backend.Padded.Int_array.set t.pending pid pending
-
-  let read t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.cells
-
-  let flush_threshold t = t.threshold
-end
-
 module Tree_counter = struct
   type t = {
     n : int;

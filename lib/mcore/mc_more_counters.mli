@@ -1,9 +1,5 @@
-(** Additional multicore counters for the E8/E10 comparisons.
-
-    {!Kadditive} is the real-hardware version of
-    {!Approx.Kadditive_counter}: per-domain atomic cells plus local flush
-    batching, giving [|read - v| <= k] with increments touching shared
-    memory once per [floor(k/(n+1)) + 1] calls.
+(** Additional multicore counters for the E8/E10 comparisons. (The
+    k-additive counter is {!Atomic_algo.Collect_counter} with [~k].)
 
     {!Tree_counter} is the AACH exact counter on atomics: single-writer
     leaf cells and per-node maximum registers maintained by compare-and-set
@@ -11,17 +7,6 @@
     means another process installed a larger-or-equal sum). Reads return
     the root. Exact at quiescence; linearizable by the monotone-circuit
     argument of [8]. *)
-
-module Kadditive : sig
-  type t
-
-  val create : n:int -> k:int -> unit -> t
-  (** @raise Invalid_argument if [n < 1] or [k < 0]. *)
-
-  val increment : t -> pid:int -> unit
-  val read : t -> int
-  val flush_threshold : t -> int
-end
 
 module Tree_counter : sig
   type t

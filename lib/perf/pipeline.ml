@@ -171,8 +171,10 @@ let stats_fields (s : Mcore.Throughput.stats) =
 
 (* The flat layout under test: the AACH switch tree over the atomic
    backend's contiguous register block — stride-1 siblings, the read
-   loop's index arithmetic and uncharged prefetch hints. *)
-module Mlp_flat_tree = Algo.Tree_maxreg_algo.Make (Backend.Atomic_backend)
+   loop's index arithmetic and uncharged prefetch hints. Every mlp
+   cell's heap (2 * 2^ceil(log2 m) >= 512 slots) is past the backend's
+   boxed-to-flat crossover, so the backend picks this layout itself. *)
+module Mlp_flat_tree = Mcore.Atomic_algo.Tree_maxreg
 
 (* The pre-PR layout, replicated bench-locally so the record carries
    the ablation instead of a before/after diff across revisions: an
@@ -247,17 +249,10 @@ let mlp_cell cfg ~label ~objects ~m ~write_permille =
       ("flat",
        fun () ->
          let ctx = Backend.Atomic_backend.ctx () in
-         (* This variant *is* the flat layout: pin the backend's size
-            heuristic to 0 while building so the cell measures it even
-            if a small smoke tree or an APPROX_REG_FLAT_THRESHOLD
-            override would otherwise pick the boxed layout. *)
-         let saved = Backend.Atomic_backend.current_flat_threshold () in
-         Backend.Atomic_backend.set_flat_threshold 0;
          let ts =
            Array.init objects (fun j ->
                Mlp_flat_tree.create ctx ~name:(Printf.sprintf "mlp%d" j) ~m ())
          in
-         Backend.Atomic_backend.set_flat_threshold saved;
          ((fun j v -> Mlp_flat_tree.write ts.(j) ~pid:0 v),
           (fun j -> Mlp_flat_tree.read ts.(j) ~pid:0))) ]
   in
@@ -1290,13 +1285,13 @@ let service_cluster_comms cfg =
 let simulator_metrics cfg =
   let n = cfg.sim_n and k = cfg.sim_k in
   let exec = Sim.Exec.create ~trace_steps:false ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let script =
     Workload.Script.counter_mix ~seed:42 ~n
       ~ops_per_process:cfg.sim_ops_per_process ~read_fraction:0.3
   in
   let programs =
-    Workload.Script.counter_programs (Approx.Kcounter.handle counter) script
+    Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter) script
   in
   ignore (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random 42) ());
   let per_op =

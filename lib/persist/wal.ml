@@ -49,6 +49,7 @@ type stats = {
   fsyncs : int;
   fsyncs_deferred : int;
   fsync_records_covered : int;
+  fsync_errors : int;
   truncations : int;
 }
 
@@ -77,6 +78,7 @@ type t = {
   mutable fsyncs : int;
   mutable fsyncs_deferred : int;
   mutable fsync_records_covered : int;
+  mutable fsync_errors : int;
   mutable truncations : int;
   mutable closed : bool;
 }
@@ -234,6 +236,7 @@ let open_ ~dir ~fsync ~scan:s =
     fsyncs = 0;
     fsyncs_deferred = 0;
     fsync_records_covered = 0;
+    fsync_errors = 0;
     truncations = 0;
     closed = false }
 
@@ -262,11 +265,18 @@ let append t entry =
    end);
   Mutex.unlock t.mu
 
+(* A failed fsync is not a sync: it is counted apart, credits no
+   records and leaves [unsynced] as it was, so the next flush retries.
+   Whether the kernel kept the dirty pages after the error is up to the
+   kernel (the fsyncgate problem), so the records stay counted as
+   unsynced until an fsync succeeds. *)
 let do_fsync t =
-  (try Unix.fsync t.fd with Unix.Unix_error _ -> ());
-  t.fsyncs <- t.fsyncs + 1;
-  t.fsync_records_covered <- t.fsync_records_covered + t.unsynced;
-  t.unsynced <- 0
+  match Unix.fsync t.fd with
+  | () ->
+    t.fsyncs <- t.fsyncs + 1;
+    t.fsync_records_covered <- t.fsync_records_covered + t.unsynced;
+    t.unsynced <- 0
+  | exception Unix.Unix_error _ -> t.fsync_errors <- t.fsync_errors + 1
 
 (* [unsynced] counts *records* since the last fsync (bumped in
    [append]), not flush calls. Under [Every_n k] this makes the policy
@@ -293,7 +303,8 @@ let flush_locked t =
       let now = Unix.gettimeofday () in
       if now -. t.last_sync >= float_of_int ms /. 1000.0 then begin
         do_fsync t;
-        t.last_sync <- now
+        (* a failed sync leaves [unsynced] > 0: retry at the next flush *)
+        if t.unsynced = 0 then t.last_sync <- now
       end
       else if wrote then t.fsyncs_deferred <- t.fsyncs_deferred + 1
     end
@@ -366,6 +377,7 @@ let stats t =
       fsyncs = t.fsyncs;
       fsyncs_deferred = t.fsyncs_deferred;
       fsync_records_covered = t.fsync_records_covered;
+      fsync_errors = t.fsync_errors;
       truncations = t.truncations }
   in
   Mutex.unlock t.mu;

@@ -28,13 +28,17 @@ type stats = {
   appends : int;  (** Records staged. *)
   bytes : int;  (** Frame bytes staged (headers + payloads). *)
   flushes : int;  (** Flush calls that wrote data. *)
-  fsyncs : int;
+  fsyncs : int;  (** fsync calls that succeeded. *)
   fsyncs_deferred : int;
       (** Flushes that wrote records but deferred the sync under the
           [Every_n]/[Interval_ms] batching rule. *)
   fsync_records_covered : int;
       (** Records made durable by the fsyncs that did run; divided by
           [fsyncs] this is the achieved per-fsync batch size. *)
+  fsync_errors : int;
+      (** fsync calls that failed. A failed fsync counts in neither
+          [fsyncs] nor [fsync_records_covered], and its records stay
+          unsynced, so the next flush retries them. *)
   truncations : int;  (** Snapshot-driven log rotations. *)
 }
 

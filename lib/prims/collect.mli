@@ -5,7 +5,7 @@
     one ([n] steps). Collects are not atomic snapshots, but for objects whose
     per-cell contents are monotone (counters of increments, maxima) a single
     collect linearizes, which is how the classic [O(n)] exact counter works
-    (see {!Counters.Collect_counter}). *)
+    (see {!Sim_algo.Collect_counter}). *)
 
 type t
 

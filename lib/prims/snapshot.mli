@@ -10,7 +10,7 @@
     Step complexity: [scan] is [O(n^2)]; [update] is [O(n^2)] (it embeds a
     scan). This is the textbook substrate the paper alludes to for the
     trivial [O(n)]-per-operation exact counter; the cheaper collect-based
-    counter lives in {!Counters.Collect_counter}. *)
+    counter lives in {!Sim_algo.Collect_counter}. *)
 
 type t
 

@@ -105,6 +105,7 @@ type durability = {
   mutable d_fsyncs : int;
   mutable d_fsyncs_deferred : int;  (* flushes that left records unsynced *)
   mutable d_fsync_records_covered : int;  (* records made durable by fsyncs *)
+  mutable d_fsync_errors : int;  (* fsync calls that failed *)
   mutable d_snapshots : int;
   mutable d_snapshot_errors : int;  (* snapshot ticks that raised *)
   mutable d_wal_truncations : int;
@@ -161,6 +162,7 @@ let create ?(node_id = 0) ?(nodes = 1) ?(replicas = 1)
           d_fsyncs = 0;
           d_fsyncs_deferred = 0;
           d_fsync_records_covered = 0;
+          d_fsync_errors = 0;
           d_snapshots = 0;
           d_snapshot_errors = 0;
           d_wal_truncations = 0;
@@ -417,6 +419,7 @@ let to_json t =
             ("fsyncs", J.Int d.d_fsyncs);
             ("fsyncs_deferred", J.Int d.d_fsyncs_deferred);
             ("fsync_records_covered", J.Int d.d_fsync_records_covered);
+            ("fsync_errors", J.Int d.d_fsync_errors);
             ("snapshots", J.Int d.d_snapshots);
             ("snapshot_errors", J.Int d.d_snapshot_errors);
             ("wal_truncations", J.Int d.d_wal_truncations);

@@ -189,6 +189,10 @@ type durability = {
       (** Records made durable by the fsyncs that did run — divided by
           [d_fsyncs] this is the per-fsync batch size the cross-shard
           group commit achieves. *)
+  mutable d_fsync_errors : int;
+      (** fsync calls on the WAL that failed. Their records stay
+          unsynced and the next flush retries, so a non-zero value
+          means the disk is refusing to make writes durable. *)
   mutable d_snapshots : int;  (** Fuzzy snapshots written this run. *)
   mutable d_snapshot_errors : int;
       (** Snapshot ticks that failed (disk full, permissions): the

@@ -35,7 +35,7 @@ type impl =
   | I_kcounter of Mcore.Mc_kcounter.t * int ref * int  (* counter, exact, k *)
   | I_faa of Mcore.Mc_baselines.Faa_counter.t
   | I_kmaxreg of Mcore.Mc_kmaxreg.t * int ref * int * int  (* reg, exact, k, m *)
-  | I_casmax of Mcore.Mc_baselines.Cas_maxreg.t
+  | I_casmax of Mcore.Atomic_algo.Cas_maxreg.t
 
 (* [pending_delta]/[o_dirty] and [batch_value]/[batch_stamp] are
    drain-batch scratch, touched only under the owning shard's lock
@@ -117,7 +117,10 @@ let build ?(nodes = 1) ?(node_id = 0) ~metrics ~shards specs =
           | Faa -> I_faa (Mcore.Mc_baselines.Faa_counter.create ())
           | Kmaxreg { k; m } ->
             I_kmaxreg (Mcore.Mc_kmaxreg.create ~m ~k (), ref 0, k, m)
-          | Cas_maxreg -> I_casmax (Mcore.Mc_baselines.Cas_maxreg.create ())
+          | Cas_maxreg ->
+            I_casmax
+              (Mcore.Atomic_algo.Cas_maxreg.create
+                 (Backend.Atomic_backend.ctx ()) ())
         in
         let o =
           { o_id = i;
@@ -237,7 +240,7 @@ let own_applied o =
   | I_kcounter (_, exact, _) -> !exact
   | I_faa c -> Mcore.Mc_baselines.Faa_counter.read c
   | I_kmaxreg (_, exact, _, _) -> !exact
-  | I_casmax r -> Mcore.Mc_baselines.Cas_maxreg.read r
+  | I_casmax r -> Mcore.Atomic_algo.Cas_maxreg.read r ~pid:0
 
 let own_total o =
   if is_counter_obj o then o.r_base + own_applied o else own_applied o
@@ -548,7 +551,8 @@ let read o ~pid =
     accuracy_check o ~k ~served ~exact:(max !exact o.r_max_remote)
       ~lower_exact:true;
     served
-  | I_casmax r -> max (Mcore.Mc_baselines.Cas_maxreg.read r) o.r_max_remote
+  | I_casmax r ->
+    max (Mcore.Atomic_algo.Cas_maxreg.read r ~pid:0) o.r_max_remote
 
 (* ------------------------------------------------------------------ *)
 (* Drain-batch fusion (owning shard only; see Server.exec_batch)       *)
@@ -625,7 +629,7 @@ let write o ~pid:_ v =
       Error ()
     end
     else begin
-      Mcore.Mc_baselines.Cas_maxreg.write r v;
+      Mcore.Atomic_algo.Cas_maxreg.write r ~pid:0 v;
       o.o_stats.writes <- o.o_stats.writes + 1;
       mark_dirty o;
       refresh_repl o;

@@ -414,6 +414,7 @@ let refresh_durability t =
     d.Metrics.d_fsyncs <- s.Persist.Wal.fsyncs;
     d.Metrics.d_fsyncs_deferred <- s.Persist.Wal.fsyncs_deferred;
     d.Metrics.d_fsync_records_covered <- s.Persist.Wal.fsync_records_covered;
+    d.Metrics.d_fsync_errors <- s.Persist.Wal.fsync_errors;
     d.Metrics.d_wal_truncations <- s.Persist.Wal.truncations
 
 (* One fuzzy snapshot: capture the truncation watermark *before*

@@ -2,9 +2,9 @@
 
     An execution couples a {!Memory.t}, [n] process fibers and a scheduling
     policy. Shared objects are allocated against {!memory} during a build
-    phase (object constructors like [Kcounter.create] do this); then {!run}
-    drives the processes step by step under the policy, recording a
-    {!Trace.t}.
+    phase (object constructors like [Sim_algo.Kcounter.create] do this);
+    then {!run} drives the processes step by step under the policy,
+    recording a {!Trace.t}.
 
     Executions are single-shot: fibers are one-shot continuations, so a [t]
     can only be run once. Deterministic replay — the backbone of the

@@ -11,12 +11,12 @@ let vi = Alcotest.int
    collects every read result as (pid, value, order-index). *)
 let run_counter ?(track_awareness = false) ~n ~k ~policy script =
   let exec = Sim.Exec.create ~track_awareness ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let reads = ref [] in
   let programs =
     Workload.Script.counter_programs
       ~on_read:(fun ~pid result -> reads := (pid, result) :: !reads)
-      (Approx.Kcounter.handle counter)
+      (Sim_algo.Kcounter.handle counter)
       script
   in
   let outcome = Sim.Exec.run exec ~programs ~policy () in
@@ -76,7 +76,7 @@ let switches_set_in_prefix_order states =
   (* Materialised switch states must be 1 on a prefix of indices and 0
      beyond it once the execution is quiescent... during execution the set
      switches always form a prefix 0..h of the indices that are 1. *)
-  let set_idx = List.filter_map (fun (i, b) -> if b = 1 then Some i else None)
+  let set_idx = List.filter_map (fun (i, b) -> if b then Some i else None)
       states in
   match set_idx with
   | [] -> true
@@ -96,7 +96,7 @@ let test_switch_prefix_order () =
   let _, counter, _, _ =
     run_counter ~n ~k ~policy:(Sim.Schedule.Random 3) script
   in
-  let states = Approx.Kcounter.switch_states counter in
+  let states = Sim_algo.Kcounter.switch_states counter in
   Alcotest.(check bool) "switches form a prefix" true
     (switches_set_in_prefix_order states)
 
@@ -105,13 +105,13 @@ let test_trace_switch_set_order () =
      steps occur in strictly increasing switch-index order. *)
   let n = 3 and k = 2 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let script =
     Workload.Script.counter_mix ~seed:5 ~n ~ops_per_process:2_000
       ~read_fraction:0.05
   in
   let programs =
-    Workload.Script.counter_programs (Approx.Kcounter.handle counter) script
+    Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter) script
   in
   ignore (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random 17) ());
   (* Collect object ids of successful TAS steps in trace order; translate
@@ -135,9 +135,9 @@ let test_trace_switch_set_order () =
     (Sim.Exec.trace exec);
   (* The number of successful TAS equals the highest set index + 1 iff
      switches were set in increasing order without gaps. *)
-  let states = Approx.Kcounter.switch_states counter in
+  let states = Sim_algo.Kcounter.switch_states counter in
   let set_count =
-    List.length (List.filter (fun (_, b) -> b = 1) states)
+    List.length (List.filter (fun (_, b) -> b) states)
   in
   check vi "successful tas count matches set prefix" set_count (!last_set + 1)
 
@@ -169,18 +169,18 @@ let test_read_helped_terminates () =
                ReturnValue(3 mod 2, 3 / 2) = 2 * (1 + 1*4 + 4) = 18. *)
   let n = 2 and k = 2 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let result = ref None in
   let programs =
     [| (fun pid ->
          result :=
            Some
              (Sim.Api.op_int ~name:"read" (fun () ->
-                  Approx.Kcounter.read counter ~pid)));
+                  Sim_algo.Kcounter.read counter ~pid)));
        (fun pid ->
          for _ = 1 to 1_000 do
            Sim.Api.op_unit ~name:"inc" (fun () ->
-               Approx.Kcounter.increment counter ~pid)
+               Sim_algo.Kcounter.increment counter ~pid)
          done) |]
   in
   let script =
@@ -300,15 +300,17 @@ let test_read_position_persists () =
      switch its predecessor stopped at. *)
   let n = 1 and k = 2 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let program pid =
     for _ = 1 to 1_000 do
-      Approx.Kcounter.increment counter ~pid
+      Sim_algo.Kcounter.increment counter ~pid
     done;
     ignore
-      (Sim.Api.op_int ~name:"read1" (fun () -> Approx.Kcounter.read counter ~pid));
+      (Sim.Api.op_int ~name:"read1" (fun () ->
+           Sim_algo.Kcounter.read counter ~pid));
     ignore
-      (Sim.Api.op_int ~name:"read2" (fun () -> Approx.Kcounter.read counter ~pid))
+      (Sim.Api.op_int ~name:"read2" (fun () ->
+           Sim_algo.Kcounter.read counter ~pid))
   in
   ignore
     (Sim.Exec.run exec ~programs:[| program |] ~policy:Sim.Schedule.Round_robin
@@ -325,18 +327,18 @@ let test_local_pending_reset () =
   (* After a successful announce, lcounter resets; a solo process
      announcing at switch_0 has lcounter = 0 after its first inc. *)
   let exec = Sim.Exec.create ~n:1 () in
-  let counter = Approx.Kcounter.create exec ~n:1 ~k:2 () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n:1 ~k:2 () in
   let programs =
-    [| (fun pid -> Approx.Kcounter.increment counter ~pid) |]
+    [| (fun pid -> Sim_algo.Kcounter.increment counter ~pid) |]
   in
   ignore (Sim.Exec.run exec ~programs ~policy:Sim.Schedule.Round_robin ());
-  check vi "lcounter reset" 0 (Approx.Kcounter.local_pending counter ~pid:0)
+  check vi "lcounter reset" 0 (Sim_algo.Kcounter.local_pending counter ~pid:0)
 
 let test_create_validation () =
   let exec = Sim.Exec.create ~n:2 () in
   Alcotest.check_raises "k < 2 rejected"
-    (Invalid_argument "Kcounter.create: k < 2") (fun () ->
-      ignore (Approx.Kcounter.create exec ~n:2 ~k:1 ()))
+    (Invalid_argument "Kcounter_algo.create: k < 2") (fun () ->
+      ignore (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n:2 ~k:1 ()))
 
 let suite =
   [ ("sequential read zero", `Quick, test_sequential_read_zero);

@@ -126,7 +126,7 @@ let test_exponential_gap_vs_exact () =
   let m = 1 lsl 40 in
   let exec = Sim.Exec.create ~n:2 () in
   let approx_mr = Approx.Kmaxreg.create exec ~n:2 ~m ~k:2 () in
-  let exact_mr = Maxreg.Tree_maxreg.create exec ~m () in
+  let exact_mr = Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m () in
   let worst_approx = ref 0 and worst_exact = ref 0 in
   let program pid =
     if pid = 0 then begin
@@ -138,10 +138,10 @@ let test_exponential_gap_vs_exact () =
     end
     else begin
       Sim.Api.op_unit ~name:"ew" (fun () ->
-          Maxreg.Tree_maxreg.write exact_mr ~pid (m - 1));
+          Sim_algo.Tree_maxreg.write exact_mr ~pid (m - 1));
       ignore
         (Sim.Api.op_int ~name:"er" (fun () ->
-             Maxreg.Tree_maxreg.read exact_mr ~pid))
+             Sim_algo.Tree_maxreg.read exact_mr ~pid))
     end
   in
   ignore

@@ -308,6 +308,56 @@ let test_collect_diff () =
         (List.rev !oracle) atomic_reads)
     [ (1, 11); (3, 12); (5, 13) ]
 
+(* The same collect counter relaxed with ~k (the k-additive counter):
+   sim and atomic read sequences agree for k = 0 and k > 0, every read
+   is within k of the increments applied before it, and at k = 0 the
+   simulator charges exactly the exact collect counter's steps — 1 per
+   increment, n per read. *)
+let test_kadditive_diff () =
+  List.iter
+    (fun (n, k, seed) ->
+      let script =
+        Workload.Script.counter_mix ~seed ~n ~ops_per_process:60
+          ~read_fraction:0.3
+      in
+      let seq = Workload.Script.interleave ~seed script in
+      let sim_exec = ref None in
+      let sim_reads =
+        run_in_sim ~n
+          ~build:(fun exec ->
+            sim_exec := Some exec;
+            SC.create (Sim_backend.ctx exec) ~n ~k ())
+          ~apply:(apply_counter SC.increment SC.read)
+          seq
+      in
+      let atomic = AC.create (Backend.Atomic_backend.ctx ()) ~n ~k () in
+      let atomic_reads =
+        run_direct ~apply:(apply_counter AC.increment AC.read) atomic seq
+      in
+      let label what = Printf.sprintf "%s (n=%d k=%d seed=%d)" what n k seed in
+      check Alcotest.(list int) (label "reads agree") sim_reads atomic_reads;
+      let incs = ref 0 and reads = ref 0 and worst = ref 0 in
+      List.iter2
+        (fun x v -> worst := max !worst (abs (x - v)))
+        atomic_reads
+        (List.filter_map
+           (fun (_, op) ->
+             match op with
+             | Workload.Script.Inc ->
+               incr incs;
+               None
+             | Workload.Script.Read ->
+               incr reads;
+               Some !incs
+             | Workload.Script.Write _ -> None)
+           seq);
+      Alcotest.(check bool) (label "reads within k") true (!worst <= k);
+      if k = 0 then
+        check Alcotest.int (label "k=0 charged steps")
+          (!incs + (n * !reads))
+          (Sim.Exec.steps_total (Option.get !sim_exec)))
+    [ (1, 0, 41); (3, 0, 42); (5, 0, 43); (3, 7, 44); (4, 25, 45) ]
+
 (* ------------------------------------------------------------------ *)
 (* Interleave itself                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -343,6 +393,7 @@ let suite =
     ("tree flat vs recursive walk", `Quick, test_tree_flat_vs_recursive);
     ("tree sim vs atomic", `Quick, test_tree_sim_vs_atomic);
     ("collect sim vs atomic", `Quick, test_collect_diff);
+    ("kadditive sim vs atomic", `Quick, test_kadditive_diff);
     ("interleave properties", `Quick, test_interleave_properties) ]
 
 let () = Alcotest.run "backend_diff" [ ("backend_diff", suite) ]

@@ -31,8 +31,8 @@ let sequential_battery make_handle () =
 
 let test_collect_sequential () =
   sequential_battery (fun exec ->
-      Counters.Collect_counter.handle
-        (Counters.Collect_counter.create exec ~n:1 ()))
+      Sim_algo.Collect_counter.handle
+        (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n:1 ()))
     ()
 
 let test_snapshot_sequential () =
@@ -83,8 +83,8 @@ let quiescent_exact make_handle () =
 
 let test_collect_quiescent () =
   quiescent_exact (fun exec n ->
-      Counters.Collect_counter.handle
-        (Counters.Collect_counter.create exec ~n ()))
+      Sim_algo.Collect_counter.handle
+        (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ()))
     ()
 
 let test_snapshot_quiescent () =
@@ -121,8 +121,8 @@ let concurrent_lincheck make_handle () =
 
 let test_collect_linearizable () =
   concurrent_lincheck (fun exec n ->
-      Counters.Collect_counter.handle
-        (Counters.Collect_counter.create exec ~n ()))
+      Sim_algo.Collect_counter.handle
+        (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ()))
     ()
 
 let test_snapshot_linearizable () =
@@ -145,10 +145,10 @@ let test_faa_linearizable () =
 let test_collect_read_cost () =
   let n = 8 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Counters.Collect_counter.create exec ~n () in
+  let counter = Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n () in
   let script = Array.make n [ Workload.Script.Inc; Read ] in
   let programs, _ =
-    counter_programs (Counters.Collect_counter.handle counter) script
+    counter_programs (Sim_algo.Collect_counter.handle counter) script
   in
   ignore (Sim.Exec.run exec ~programs ~policy:Sim.Schedule.Round_robin ());
   check vi "read costs n" n

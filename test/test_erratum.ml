@@ -41,9 +41,9 @@ let parked_adversary ~n ~k ~read =
   (v, !result, Sim.Exec.trace exec)
 
 let original exec ~n ~k =
-  let c = Approx.Kcounter.create exec ~n ~k () in
-  ((fun ~pid -> Approx.Kcounter.increment c ~pid),
-   fun ~pid -> Approx.Kcounter.read c ~pid)
+  let c = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
+  ((fun ~pid -> Sim_algo.Kcounter.increment c ~pid),
+   fun ~pid -> Sim_algo.Kcounter.read c ~pid)
 
 let corrected exec ~n ~k =
   let c = Approx.Kcounter_variants.Startup_corrected.create exec ~n ~k () in

@@ -31,9 +31,11 @@ let test_explore_kcounter_exhaustive () =
      instance: n = 2, k = 2, each process incs twice then reads. *)
   let build () =
     let exec = Sim.Exec.create ~n:2 () in
-    let counter = Approx.Kcounter.create exec ~n:2 ~k:2 () in
+    let counter =
+      Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n:2 ~k:2 ()
+    in
     let programs =
-      Workload.Script.counter_programs (Approx.Kcounter.handle counter)
+      Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter)
         [| [ Inc; Inc; Read ]; [ Inc; Inc; Read ] |]
     in
     (exec, programs)
@@ -131,10 +133,12 @@ let test_explore_finds_collect_maxreg_bug () =
 let test_explore_limit () =
   let build () =
     let exec = Sim.Exec.create ~n:3 () in
-    let counter = Counters.Collect_counter.create exec ~n:3 () in
+    let counter =
+      Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n:3 ()
+    in
     let programs =
       Workload.Script.counter_programs
-        (Counters.Collect_counter.handle counter)
+        (Sim_algo.Collect_counter.handle counter)
         (Array.make 3 [ Workload.Script.Inc; Read; Inc; Read ])
     in
     (exec, programs)
@@ -222,13 +226,13 @@ let test_pct_drives_kcounter () =
   for seed = 0 to 19 do
     let n = 3 in
     let exec = Sim.Exec.create ~n () in
-    let counter = Approx.Kcounter.create exec ~n ~k:2 () in
+    let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 () in
     let script =
       Workload.Script.counter_mix ~seed ~n ~ops_per_process:5
         ~read_fraction:0.4
     in
     let programs =
-      Workload.Script.counter_programs (Approx.Kcounter.handle counter) script
+      Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter) script
     in
     let outcome =
       Sim.Exec.run exec ~programs

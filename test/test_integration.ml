@@ -16,15 +16,16 @@ let vi = Alcotest.int
 let test_kcounter_crash_midway () =
   let n = 4 and k = 2 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
   let reads = ref [] in
   let program pid =
     for _ = 1 to 500 do
       Sim.Api.op_unit ~name:"inc" (fun () ->
-          Approx.Kcounter.increment counter ~pid)
+          Sim_algo.Kcounter.increment counter ~pid)
     done;
     reads :=
-      Sim.Api.op_int ~name:"read" (fun () -> Approx.Kcounter.read counter ~pid)
+      Sim.Api.op_int ~name:"read" (fun () ->
+          Sim_algo.Kcounter.read counter ~pid)
       :: !reads
   in
   (* p0 takes 3 steps (mid-announce), then crashes; the others run under a
@@ -90,16 +91,16 @@ let test_kmaxreg_crash_midway () =
 let test_counter_and_maxreg_together () =
   let n = 3 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k:2 () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 () in
   let mr = Approx.Kmaxreg.create exec ~n ~m:4096 ~k:2 () in
   let count_read = ref 0 and max_read = ref 0 in
   let program pid =
     for i = 1 to 100 do
-      Approx.Kcounter.increment counter ~pid;
+      Sim_algo.Kcounter.increment counter ~pid;
       Approx.Kmaxreg.write mr ~pid ((pid * 1000) + i)
     done;
     if pid = 0 then begin
-      count_read := Approx.Kcounter.read counter ~pid;
+      count_read := Sim_algo.Kcounter.read counter ~pid;
       max_read := Approx.Kmaxreg.read mr ~pid
     end
   in
@@ -119,7 +120,7 @@ let test_full_stack_replay () =
   let build () =
     let n = 4 in
     let exec = Sim.Exec.create ~n () in
-    let counter = Approx.Kcounter.create exec ~n ~k:2 () in
+    let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 () in
     let script =
       Workload.Script.counter_mix ~seed:3 ~n ~ops_per_process:50
         ~read_fraction:0.3
@@ -128,7 +129,7 @@ let test_full_stack_replay () =
     let programs =
       Workload.Script.counter_programs
         ~on_read:(fun ~pid x -> reads := (pid, x) :: !reads)
-        (Approx.Kcounter.handle counter)
+        (Sim_algo.Kcounter.handle counter)
         script
     in
     (exec, programs, reads)
@@ -154,14 +155,14 @@ let test_full_stack_replay () =
 let test_live_stats_match_metrics () =
   let n = 4 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Counters.Collect_counter.create exec ~n () in
+  let counter = Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n () in
   let script =
     Workload.Script.counter_mix ~seed:5 ~n ~ops_per_process:100
       ~read_fraction:0.4
   in
   let programs =
     Workload.Script.counter_programs
-      (Counters.Collect_counter.handle counter)
+      (Sim_algo.Collect_counter.handle counter)
       script
   in
   ignore (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random 5) ());
@@ -215,14 +216,14 @@ let test_kmaxreg_unbounded_watermark_of_counter () =
      written into an approximate max register (watermark of a counter). *)
   let n = 3 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kcounter.create exec ~n ~k:2 () in
+  let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 () in
   let mr = Approx.Kmaxreg_unbounded.create exec ~k:2 () in
   let watermark = ref 0 in
   let program pid =
     for _ = 1 to 200 do
-      Approx.Kcounter.increment counter ~pid
+      Sim_algo.Kcounter.increment counter ~pid
     done;
-    let x = Approx.Kcounter.read counter ~pid in
+    let x = Sim_algo.Kcounter.read counter ~pid in
     Approx.Kmaxreg_unbounded.write mr ~pid x;
     if pid = 0 then watermark := Approx.Kmaxreg_unbounded.read mr ~pid
   in

@@ -6,10 +6,12 @@ let check = Alcotest.check
 let vi = Alcotest.int
 
 let kcounter_make ~k exec ~n =
-  Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ())
+  Sim_algo.Kcounter.handle
+    (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ())
 
 let collect_make exec ~n =
-  Counters.Collect_counter.handle (Counters.Collect_counter.create exec ~n ())
+  Sim_algo.Collect_counter.handle
+    (Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n ())
 
 (* ------------------------------------------------------------------ *)
 (* Awareness experiment                                                *)
@@ -127,7 +129,8 @@ let test_perturb_exact_tree_maxreg () =
   let rounds =
     Lowerbound.Perturb.perturb_maxreg
       ~make:(fun exec ~n:_ ->
-        Maxreg.Tree_maxreg.handle (Maxreg.Tree_maxreg.create exec ~m ()))
+        Sim_algo.Tree_maxreg.handle
+          (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m ()))
       ~m ~k
   in
   let total = List.length rounds in

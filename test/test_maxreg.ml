@@ -47,7 +47,8 @@ let test_linear_sequential () =
 let test_tree_sequential () =
   sequential_battery
     (fun exec ->
-      Maxreg.Tree_maxreg.handle (Maxreg.Tree_maxreg.create exec ~m:16 ()))
+      Sim_algo.Tree_maxreg.handle
+        (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m:16 ()))
     ()
 
 let test_bounded_sequential () =
@@ -67,12 +68,13 @@ let test_unbounded_sequential () =
 let test_tree_step_complexity () =
   let m = 1 lsl 20 in
   let exec = Sim.Exec.create ~n:1 () in
-  let mr = Maxreg.Tree_maxreg.create exec ~m () in
+  let mr = Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m () in
   let program pid =
     Sim.Api.op_unit ~name:"write" ~arg:(m - 1) (fun () ->
-        Maxreg.Tree_maxreg.write mr ~pid (m - 1));
+        Sim_algo.Tree_maxreg.write mr ~pid (m - 1));
     ignore
-      (Sim.Api.op_int ~name:"read" (fun () -> Maxreg.Tree_maxreg.read mr ~pid))
+      (Sim.Api.op_int ~name:"read" (fun () ->
+           Sim_algo.Tree_maxreg.read mr ~pid))
   in
   ignore
     (Sim.Exec.run exec ~programs:[| program |] ~policy:Sim.Schedule.Round_robin
@@ -89,14 +91,14 @@ let test_tree_step_complexity () =
 
 let test_tree_bounds_checked () =
   let exec = Sim.Exec.create ~n:1 () in
-  let mr = Maxreg.Tree_maxreg.create exec ~m:8 () in
+  let mr = Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m:8 () in
   let program pid =
     Alcotest.check_raises "write 8 rejected"
-      (Invalid_argument "Tree_maxreg.write: value out of range") (fun () ->
-        Maxreg.Tree_maxreg.write mr ~pid 8);
+      (Invalid_argument "Tree_maxreg_algo.write: value out of range") (fun () ->
+        Sim_algo.Tree_maxreg.write mr ~pid 8);
     Alcotest.check_raises "write -1 rejected"
-      (Invalid_argument "Tree_maxreg.write: value out of range") (fun () ->
-        Maxreg.Tree_maxreg.write mr ~pid (-1))
+      (Invalid_argument "Tree_maxreg_algo.write: value out of range") (fun () ->
+        Sim_algo.Tree_maxreg.write mr ~pid (-1))
   in
   ignore
     (Sim.Exec.run exec ~programs:[| program |] ~policy:Sim.Schedule.Round_robin
@@ -140,7 +142,8 @@ let test_linear_linearizable () =
 
 let test_tree_linearizable () =
   concurrent_lincheck (fun exec ->
-      Maxreg.Tree_maxreg.handle (Maxreg.Tree_maxreg.create exec ~m:16 ()))
+      Sim_algo.Tree_maxreg.handle
+        (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m:16 ()))
     ()
 
 let test_unbounded_linearizable () =
@@ -239,7 +242,8 @@ let suite =
     ("unbounded log steps", `Quick, test_unbounded_log_steps);
     QCheck_alcotest.to_alcotest
       (prop_write_visible (fun exec ->
-           Maxreg.Tree_maxreg.handle (Maxreg.Tree_maxreg.create exec ~m:200 ())));
+           Sim_algo.Tree_maxreg.handle
+             (Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m:200 ())));
     QCheck_alcotest.to_alcotest
       (prop_write_visible (fun exec ->
            Maxreg.Unbounded_maxreg.handle

@@ -119,13 +119,16 @@ let test_faa_parallel_exact () =
 
 let test_collect_parallel_exact () =
   let domains = 4 and per_domain = 50_000 in
-  let counter = Mcore.Mc_baselines.Collect_counter.create ~n:domains in
+  let counter =
+    Mcore.Atomic_algo.Collect_counter.create (Backend.Atomic_backend.ctx ())
+      ~n:domains ()
+  in
   ignore
     (Mcore.Throughput.run ~domains ~ops_per_domain:per_domain
        ~worker:(fun ~pid ~op_index:_ ->
-         Mcore.Mc_baselines.Collect_counter.increment counter ~pid));
+         Mcore.Atomic_algo.Collect_counter.increment counter ~pid));
   check vi "exact" (domains * per_domain)
-    (Mcore.Mc_baselines.Collect_counter.read counter)
+    (Mcore.Atomic_algo.Collect_counter.read counter ~pid:0)
 
 let test_lock_parallel_exact () =
   let domains = 4 and per_domain = 20_000 in
@@ -139,14 +142,17 @@ let test_lock_parallel_exact () =
 
 let test_cas_maxreg_parallel_exact () =
   let domains = 4 and per_domain = 25_000 in
-  let mr = Mcore.Mc_baselines.Cas_maxreg.create () in
+  let mr =
+    Mcore.Atomic_algo.Cas_maxreg.create (Backend.Atomic_backend.ctx ()) ()
+  in
   ignore
     (Mcore.Throughput.run ~domains ~ops_per_domain:per_domain
        ~worker:(fun ~pid ~op_index ->
-         Mcore.Mc_baselines.Cas_maxreg.write mr ((op_index * domains) + pid)));
+         Mcore.Atomic_algo.Cas_maxreg.write mr ~pid
+           ((op_index * domains) + pid)));
   check vi "exact max"
     (((per_domain - 1) * domains) + domains - 1)
-    (Mcore.Mc_baselines.Cas_maxreg.read mr)
+    (Mcore.Atomic_algo.Cas_maxreg.read mr ~pid:0)
 
 let test_throughput_reports () =
   let r =
@@ -159,7 +165,7 @@ let test_throughput_reports () =
 
 let test_kcounter_validation () =
   Alcotest.check_raises "k < 2"
-    (Invalid_argument "Mc_kcounter.create: k < 2") (fun () ->
+    (Invalid_argument "Kcounter_algo.create: k < 2") (fun () ->
       ignore (Mcore.Mc_kcounter.create ~n:2 ~k:1 ()));
   Alcotest.check_raises "capacity 0"
     (Invalid_argument "Mc_kcounter.create: switch_capacity out of range")

@@ -1,5 +1,5 @@
 (* Tests for the bounded tree counter (sim) and the additional multicore
-   counters (Kadditive, Tree_counter on atomics). *)
+   counters (k-additive collect counter, Tree_counter on atomics). *)
 
 let check = Alcotest.check
 let vi = Alcotest.int
@@ -90,23 +90,27 @@ let test_bounded_step_complexity_in_m () =
     (cost 15 <= Zmath.ceil_log2 16 + 1)
 
 (* ------------------------------------------------------------------ *)
-(* Multicore Kadditive                                                 *)
+(* Multicore k-additive: the collect counter over atomics with ~k     *)
 (* ------------------------------------------------------------------ *)
 
+module Kadd = Mcore.Atomic_algo.Collect_counter
+
+let atomic_ctx = Backend.Atomic_backend.ctx
+
 let test_mc_kadditive_threshold () =
-  let c = Mcore.Mc_more_counters.Kadditive.create ~n:4 ~k:100 () in
-  check vi "threshold" 21 (Mcore.Mc_more_counters.Kadditive.flush_threshold c)
+  let c = Kadd.create (atomic_ctx ()) ~n:4 ~k:100 () in
+  check vi "threshold" 21 (Kadd.flush_threshold c)
 
 let test_mc_kadditive_parallel_error_bound () =
   let domains = 4 and k = 1000 in
   let per_domain = 50_000 in
-  let counter = Mcore.Mc_more_counters.Kadditive.create ~n:domains ~k () in
+  let counter = Kadd.create (atomic_ctx ()) ~n:domains ~k () in
   ignore
     (Mcore.Throughput.run ~domains ~ops_per_domain:per_domain
        ~worker:(fun ~pid ~op_index:_ ->
-         Mcore.Mc_more_counters.Kadditive.increment counter ~pid));
+         Kadd.increment counter ~pid));
   let v = domains * per_domain in
-  let x = Mcore.Mc_more_counters.Kadditive.read counter in
+  let x = Kadd.read counter ~pid:0 in
   Alcotest.(check bool)
     (Printf.sprintf "|%d - %d| <= %d" x v k)
     true
@@ -114,12 +118,12 @@ let test_mc_kadditive_parallel_error_bound () =
 
 let test_mc_kadditive_exact_when_k0 () =
   let domains = 3 in
-  let counter = Mcore.Mc_more_counters.Kadditive.create ~n:domains ~k:0 () in
+  let counter = Kadd.create (atomic_ctx ()) ~n:domains ~k:0 () in
   ignore
     (Mcore.Throughput.run ~domains ~ops_per_domain:10_000
        ~worker:(fun ~pid ~op_index:_ ->
-         Mcore.Mc_more_counters.Kadditive.increment counter ~pid));
-  check vi "exact" 30_000 (Mcore.Mc_more_counters.Kadditive.read counter)
+         Kadd.increment counter ~pid));
+  check vi "exact" 30_000 (Kadd.read counter ~pid:0)
 
 (* ------------------------------------------------------------------ *)
 (* Multicore tree counter                                              *)

@@ -234,6 +234,26 @@ let test_wal_never_close_syncs () =
   in
   check_syncs "close" after_close ~fsyncs:1 ~deferred:0 ~covered:3
 
+(* A disk that refuses fsync: wal.log is a symlink to /dev/null, where
+   fsync fails with EINVAL. The failure is no sync: it credits no
+   records, and the next flush retries it. *)
+let test_wal_fsync_error () =
+  with_dir (fun dir ->
+      Unix.symlink "/dev/null" (Filename.concat dir "wal.log");
+      let wal =
+        Persist.Wal.open_ ~dir ~fsync:(Persist.Wal.Every_n 1)
+          ~scan:(Persist.Wal.scan ~dir)
+      in
+      append_n wal 1;
+      Persist.Wal.flush wal;
+      let st = Persist.Wal.stats wal in
+      check_syncs "failed" st ~fsyncs:0 ~deferred:0 ~covered:0;
+      check Alcotest.int "failed: errors" 1 st.Persist.Wal.fsync_errors;
+      Persist.Wal.flush wal;
+      check Alcotest.int "retried: errors" 2
+        (Persist.Wal.stats wal).Persist.Wal.fsync_errors;
+      Persist.Wal.close wal)
+
 let test_wal_policy_text () =
   List.iter
     (fun p ->
@@ -452,6 +472,44 @@ let test_snapshot_errors_counted () =
                  | Some n -> n >= 2
                  | None -> false))))
 
+(* A server whose WAL cannot be fsynced reports it in STATS. *)
+let test_fsync_errors_counted () =
+  with_dir (fun dir ->
+      Unix.symlink "/dev/null" (Filename.concat dir "wal.log");
+      let config =
+        { Service.Server.default_config with
+          data_dir = Some dir;
+          fsync = Persist.Wal.Every_n 1;
+          snapshot_interval_ms = 0 }
+      in
+      let srv =
+        Service.Server.start ~config ~listen:(`Unix (dir ^ ".sock")) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Service.Server.stop srv)
+        (fun () ->
+          let c = Service.Client.connect (Service.Server.sockaddr srv) in
+          Fun.protect
+            ~finally:(fun () -> Service.Client.close c)
+            (fun () ->
+              let errors () =
+                scan_int (Service.Client.stats_json c) "fsync_errors"
+              in
+              let deadline = Unix.gettimeofday () +. 5.0 in
+              while
+                (match errors () with Some n -> n < 1 | None -> true)
+                && Unix.gettimeofday () < deadline
+              do
+                for _ = 1 to 50 do
+                  ignore (Service.Client.inc c "c0")
+                done
+              done;
+              Alcotest.(check bool) "STATS shows fsync_errors" true
+                (match errors () with Some n -> n >= 1 | None -> false);
+              check Alcotest.int "no fsync succeeded" 0
+                (Service.Metrics.durability (Service.Server.metrics srv))
+                  .Service.Metrics.d_fsyncs)))
+
 let test_kill9_restart_replays () =
   with_dir (fun dir ->
       let sock = dir ^ ".sock" in
@@ -642,6 +700,8 @@ let () =
          ("Every_n 4 syncs on the 4th record", `Quick, test_wal_every_n);
          ("Interval_ms defers the 2nd flush", `Quick, test_wal_interval);
          ("close syncs under Never", `Quick, test_wal_never_close_syncs);
+         ("failed fsync is not a sync", `Quick, test_wal_fsync_error);
+         ("failed fsyncs counted in STATS", `Quick, test_fsync_errors_counted);
          ("fsync policy text round-trips", `Quick, test_wal_policy_text) ]);
       ("snapshot",
        [ QCheck_alcotest.to_alcotest test_snapshot_roundtrip;

@@ -15,10 +15,12 @@ let test_soak_kcounter_envelopes () =
       List.iter
         (fun seed ->
           let exec = Sim.Exec.create ~trace_steps:false ~n () in
-          let counter = Approx.Kcounter.create exec ~n ~k () in
+          let counter =
+            Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()
+          in
           let completed = ref 0 in
           let violations = ref 0 in
-          let handle = Approx.Kcounter.handle counter in
+          let handle = Sim_algo.Kcounter.handle counter in
           let counting =
             { handle with
               Obj_intf.c_inc =
@@ -64,8 +66,9 @@ let test_soak_quiescent_totals_all_counters () =
     (fun seed ->
       let exec = Sim.Exec.create ~trace_steps:false ~n:(n + 1) () in
       let exact_handles =
-        [ Counters.Collect_counter.handle
-            (Counters.Collect_counter.create exec ~n:(n + 1) ());
+        [ Sim_algo.Collect_counter.handle
+            (Sim_algo.Collect_counter.create (Sim_backend.ctx exec)
+               ~n:(n + 1) ());
           Counters.Tree_counter.handle
             (Counters.Tree_counter.create exec ~n:(n + 1) ());
           Counters.Bounded_tree_counter.handle
@@ -73,8 +76,13 @@ let test_soak_quiescent_totals_all_counters () =
                ~m:(n * per_process) ()) ]
       in
       let k = 3 in
-      let kc = Approx.Kcounter.create exec ~n:(n + 1) ~k () in
-      let kadd = Approx.Kadditive_counter.create exec ~n:(n + 1) ~k:25 () in
+      let kc =
+        Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n:(n + 1) ~k ()
+      in
+      let kadd =
+        Sim_algo.Collect_counter.create (Sim_backend.ctx exec) ~n:(n + 1)
+          ~k:25 ()
+      in
       let results = ref [] in
       let programs =
         Array.init (n + 1) (fun i ->
@@ -83,13 +91,13 @@ let test_soak_quiescent_totals_all_counters () =
                 List.map (fun h -> h.Obj_intf.c_read ~pid) exact_handles;
               results :=
                 !results
-                @ [ Approx.Kcounter.read kc ~pid;
-                    Approx.Kadditive_counter.read kadd ~pid ]
+                @ [ Sim_algo.Kcounter.read kc ~pid;
+                    Sim_algo.Collect_counter.read kadd ~pid ]
             else fun pid ->
               for _ = 1 to per_process do
                 List.iter (fun h -> h.Obj_intf.c_inc ~pid) exact_handles;
-                Approx.Kcounter.increment kc ~pid;
-                Approx.Kadditive_counter.increment kadd ~pid
+                Sim_algo.Kcounter.increment kc ~pid;
+                Sim_algo.Collect_counter.increment kadd ~pid
               done)
       in
       let rng = Workload.Rng.create ~seed in
@@ -123,7 +131,7 @@ let test_soak_maxreg_watermark () =
       let exec = Sim.Exec.create ~trace_steps:false ~n () in
       let k = 2 in
       let m = 1 lsl 16 in
-      let exact = Maxreg.Tree_maxreg.create exec ~m () in
+      let exact = Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m () in
       let approx = Approx.Kmaxreg.create exec ~n ~m ~k () in
       let uapprox = Approx.Kmaxreg_unbounded.create exec ~k () in
       let top = ref 0 in
@@ -132,7 +140,7 @@ let test_soak_maxreg_watermark () =
             for i = 1 to 400 do
               let v = (i * n) + pid in
               top := max !top v;
-              Maxreg.Tree_maxreg.write exact ~pid v;
+              Sim_algo.Tree_maxreg.write exact ~pid v;
               Approx.Kmaxreg.write approx ~pid v;
               Approx.Kmaxreg_unbounded.write uapprox ~pid v
             done)
@@ -156,19 +164,19 @@ let test_soak_maxreg_watermark () =
   let exec = Sim.Exec.create ~trace_steps:false ~n () in
   let k = 2 in
   let m = 1 lsl 16 in
-  let exact = Maxreg.Tree_maxreg.create exec ~m () in
+  let exact = Sim_algo.Tree_maxreg.create (Sim_backend.ctx exec) ~m () in
   let approx = Approx.Kmaxreg.create exec ~n ~m ~k () in
   let readings = ref (0, 0) in
   let programs =
     Array.init n (fun i ->
         if i = n - 1 then fun pid ->
           readings :=
-            (Maxreg.Tree_maxreg.read exact ~pid,
+            (Sim_algo.Tree_maxreg.read exact ~pid,
              Approx.Kmaxreg.read approx ~pid)
         else fun pid ->
           for j = 1 to 400 do
             let v = (j * n) + pid in
-            Maxreg.Tree_maxreg.write exact ~pid v;
+            Sim_algo.Tree_maxreg.write exact ~pid v;
             Approx.Kmaxreg.write approx ~pid v
           done)
   in

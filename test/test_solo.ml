@@ -44,15 +44,17 @@ let kcounter_solo =
   solo_prop ~name:"kcounter solo-terminates" ~budget:2_000
     ~make:(counter_programs
              (fun exec ~n ->
-               Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k:2 ()))
+               Sim_algo.Kcounter.handle
+                 (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 ()))
              8)
 
 let kadditive_solo =
   solo_prop ~name:"kadditive solo-terminates" ~budget:2_000
     ~make:(counter_programs
              (fun exec ~n ->
-               Approx.Kadditive_counter.handle
-                 (Approx.Kadditive_counter.create exec ~n ~k:10 ()))
+               Sim_algo.Collect_counter.handle
+                 (Sim_algo.Collect_counter.create (Sim_backend.ctx exec)
+                    ~n ~k:10 ()))
              8)
 
 let tree_counter_solo =
@@ -154,13 +156,15 @@ let replay_determinism =
     (fun (seed, n) ->
       let build () =
         let exec = Sim.Exec.create ~n () in
-        let counter = Approx.Kcounter.create exec ~n ~k:2 () in
+        let counter =
+          Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k:2 ()
+        in
         let script =
           Workload.Script.counter_mix ~seed ~n ~ops_per_process:20
             ~read_fraction:0.3
         in
         let programs =
-          Workload.Script.counter_programs (Approx.Kcounter.handle counter)
+          Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter)
             script
         in
         (exec, programs)
@@ -185,20 +189,20 @@ let switch_prefix_property =
     (fun (seed, k) ->
       let n = 4 in
       let exec = Sim.Exec.create ~n () in
-      let counter = Approx.Kcounter.create exec ~n ~k () in
+      let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
       let script =
         Workload.Script.counter_mix ~seed ~n ~ops_per_process:500
           ~read_fraction:0.2
       in
       let programs =
-        Workload.Script.counter_programs (Approx.Kcounter.handle counter)
+        Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter)
           script
       in
       ignore
         (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random seed) ());
-      let states = Approx.Kcounter.switch_states counter in
+      let states = Sim_algo.Kcounter.switch_states counter in
       let set =
-        List.filter_map (fun (i, b) -> if b = 1 then Some i else None) states
+        List.filter_map (fun (i, b) -> if b then Some i else None) states
       in
       match set with
       | [] -> true

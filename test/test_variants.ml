@@ -62,7 +62,8 @@ let test_variants_agree_solo () =
   in
   let reference =
     run (fun exec ~n ~k ->
-        Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ()))
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
   in
   List.iter
     (fun (label, make) ->
@@ -107,7 +108,8 @@ let test_no_probe_resume_costs_more () =
   in
   let reference =
     total_steps (fun exec ~n ~k ->
-        Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ()))
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
   in
   let ablated =
     total_steps (fun exec ~n ~k ->
@@ -142,7 +144,8 @@ let test_full_scan_costs_more () =
   in
   let reference =
     read_steps (fun exec ~n ~k ->
-        Approx.Kcounter.handle (Approx.Kcounter.create exec ~n ~k ()))
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
   in
   let ablated =
     read_steps (fun exec ~n ~k ->
@@ -154,26 +157,28 @@ let test_full_scan_costs_more () =
     true (ablated > reference)
 
 (* ------------------------------------------------------------------ *)
-(* k-additive counter                                                   *)
+(* k-additive counter: the collect counter with ~k                    *)
 (* ------------------------------------------------------------------ *)
+
+module Kadd = Sim_algo.Collect_counter
 
 let test_kadditive_threshold () =
   let exec = Sim.Exec.create ~n:4 () in
-  let c0 = Approx.Kadditive_counter.create exec ~n:4 ~k:0 () in
-  let c100 = Approx.Kadditive_counter.create exec ~n:4 ~k:100 () in
-  check vi "k=0 threshold 1" 1 (Approx.Kadditive_counter.flush_threshold c0);
+  let c0 = Kadd.create (Sim_backend.ctx exec) ~n:4 ~k:0 () in
+  let c100 = Kadd.create (Sim_backend.ctx exec) ~n:4 ~k:100 () in
+  check vi "k=0 threshold 1" 1 (Kadd.flush_threshold c0);
   check vi "k=100 n=4 threshold 21" 21
-    (Approx.Kadditive_counter.flush_threshold c100)
+    (Kadd.flush_threshold c100)
 
 let test_kadditive_exact_when_k0 () =
   let exec = Sim.Exec.create ~n:1 () in
-  let counter = Approx.Kadditive_counter.create exec ~n:1 ~k:0 () in
+  let counter = Kadd.create (Sim_backend.ctx exec) ~n:1 ~k:0 () in
   let reads = ref [] in
   let program pid =
     for i = 1 to 50 do
-      Approx.Kadditive_counter.increment counter ~pid;
+      Kadd.increment counter ~pid;
       if i mod 10 = 0 then
-        reads := Approx.Kadditive_counter.read counter ~pid :: !reads
+        reads := Kadd.read counter ~pid :: !reads
     done
   in
   ignore
@@ -184,11 +189,11 @@ let test_kadditive_exact_when_k0 () =
 let test_kadditive_error_bounded_sequential () =
   let n = 1 and k = 10 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kadditive_counter.create exec ~n ~k () in
+  let counter = Kadd.create (Sim_backend.ctx exec) ~n ~k () in
   let program pid =
     for v = 1 to 500 do
-      Approx.Kadditive_counter.increment counter ~pid;
-      let x = Approx.Kadditive_counter.read counter ~pid in
+      Kadd.increment counter ~pid;
+      let x = Kadd.read counter ~pid in
       if abs (x - v) > k then Alcotest.failf "v=%d x=%d" v x
     done
   in
@@ -201,14 +206,14 @@ let test_kadditive_linearizable () =
   for seed = 0 to 19 do
     let n = 3 in
     let exec = Sim.Exec.create ~n () in
-    let counter = Approx.Kadditive_counter.create exec ~n ~k () in
+    let counter = Kadd.create (Sim_backend.ctx exec) ~n ~k () in
     let script =
       Workload.Script.counter_mix ~seed ~n ~ops_per_process:5
         ~read_fraction:0.4
     in
     let programs =
       Workload.Script.counter_programs
-        (Approx.Kadditive_counter.handle counter)
+        (Kadd.handle counter)
         script
     in
     ignore (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Random seed) ());
@@ -227,11 +232,11 @@ let test_kadditive_cheap_incs () =
      100_000/201 = 498 shared steps. *)
   let n = 4 and k = 1000 in
   let exec = Sim.Exec.create ~trace_steps:false ~n () in
-  let counter = Approx.Kadditive_counter.create exec ~n ~k () in
+  let counter = Kadd.create (Sim_backend.ctx exec) ~n ~k () in
   let program pid =
     for _ = 1 to 25_000 do
       Sim.Api.op_unit ~name:"inc" (fun () ->
-          Approx.Kadditive_counter.increment counter ~pid)
+          Kadd.increment counter ~pid)
     done
   in
   ignore
@@ -251,18 +256,18 @@ let test_kadditive_quiescent_error () =
   let n = 4 and k = 50 in
   let per_process = 10_000 in
   let exec = Sim.Exec.create ~n () in
-  let counter = Approx.Kadditive_counter.create exec ~n ~k () in
+  let counter = Kadd.create (Sim_backend.ctx exec) ~n ~k () in
   let final = ref 0 in
   let programs =
     Array.init n (fun i ->
         if i = 0 then fun pid ->
           (for _ = 1 to per_process do
-             Approx.Kadditive_counter.increment counter ~pid
+             Kadd.increment counter ~pid
            done);
-          final := Approx.Kadditive_counter.read counter ~pid
+          final := Kadd.read counter ~pid
         else fun pid ->
           for _ = 1 to per_process do
-            Approx.Kadditive_counter.increment counter ~pid
+            Kadd.increment counter ~pid
           done)
   in
   ignore

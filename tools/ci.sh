@@ -9,6 +9,15 @@ dune build @fmt
 echo "== dune build =="
 dune build
 
+echo "== one lib/algo functor instantiation per backend =="
+# Outside lib/algo (whose functors apply each other over their own
+# backend parameter) only Sim_algo, Mcore.Atomic_algo and the generic
+# Drive of the backend smoke matrix may apply a lib/algo functor.
+ALGO_MAKE=$(grep -rlE '_algo\.Make' lib bin bench examples \
+  | grep -v '^lib/algo/' | LC_ALL=C sort | tr '\n' ' ')
+[ "$ALGO_MAKE" = "lib/backend/sim_algo.ml lib/mcore/atomic_algo.ml lib/smoke/backend_smoke.ml " ] \
+  || { echo "lib/algo functor applied outside the instantiation modules: $ALGO_MAKE"; exit 1; }
+
 echo "== dune runtest (includes bench smoke) =="
 dune runtest
 
@@ -267,6 +276,8 @@ grep -q '"wal_appends"' /tmp/approx_ci_dur_stats.json \
   || { echo "stats JSON missing durability counters"; exit 1; }
 grep -q '"snapshot_errors": 0' /tmp/approx_ci_dur_stats.json \
   || { echo "stats JSON shows failed snapshot ticks"; exit 1; }
+grep -q '"fsync_errors": 0' /tmp/approx_ci_dur_stats.json \
+  || { echo "stats JSON shows failed WAL fsyncs"; exit 1; }
 if grep -q '"recovery_replayed_records": 0,' /tmp/approx_ci_dur_stats.json \
    && ! grep -q '"recovery_snapshot_loaded": true' /tmp/approx_ci_dur_stats.json; then
   echo "restart after kill -9 recovered nothing from disk"; exit 1
