@@ -42,26 +42,42 @@ module Make (B : Backend.Backend_intf.S) = struct
   let create ctx ?(name = "kcnt") ?capacity_hint ~n ~k () =
     if n < 1 then invalid_arg "Kcounter_algo.create: n < 1";
     if k < 2 then invalid_arg "Kcounter_algo.create: k < 2";
+    (* Cache-line padding keeps one pid's locals and scratch off the
+       lines another pid writes; with a single pid there is no other
+       writer, so n = 1 objects skip it. *)
+    let pad, help_padding =
+      if n > 1 then (Backend.Padded.copy, Backend.Padded.padding_words)
+      else (Fun.id, 0)
+    in
+    let fresh () =
+      { lcounter = 0;
+        limit_exp = 0;
+        limit = 1;
+        sn = 0;
+        l0 = 1;
+        last = 0;
+        p = 0;
+        q = 0;
+        cache_value = 0;
+        cache_version = -1;
+        fast_hits = 0;
+        fast_misses = 0;
+        help = Array.make (n + help_padding) 0 }
+    in
+    (* The padding follows a record's fields, so whatever is allocated
+       next lies just below them in the minor heap until it is
+       promoted. The [locals] array, which every pid reads on every
+       operation, is therefore allocated before the records, not
+       between them as [Array.init] would. *)
+    let locals = Array.make n (fresh ()) in
+    for pid = 0 to n - 1 do
+      locals.(pid) <- pad (fresh ())
+    done;
     { n;
       k;
       switches = B.ts_array ctx ~name:(name ^ ".switch") ?capacity_hint ();
       h = B.ann_array ctx ~name:(name ^ ".H") ~n ();
-      locals =
-        Array.init n (fun _ ->
-            Backend.Padded.copy
-              { lcounter = 0;
-                limit_exp = 0;
-                limit = 1;
-                sn = 0;
-                l0 = 1;
-                last = 0;
-                p = 0;
-                q = 0;
-                cache_value = 0;
-                cache_version = -1;
-                fast_hits = 0;
-                fast_misses = 0;
-                help = Array.make (n + Backend.Padded.padding_words) 0 }) }
+      locals }
 
   let k t = t.k
   let n t = t.n

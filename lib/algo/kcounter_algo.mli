@@ -41,7 +41,10 @@ module Make (B : Backend.Backend_intf.S) : sig
   val create :
     B.ctx -> ?name:string -> ?capacity_hint:int -> n:int -> k:int -> unit -> t
   (** Build phase only. [capacity_hint] presizes the backend's switch
-      storage where one exists.
+      storage where one exists (the Atomic backend's default is one
+      64-switch chunk; past it the array grows on demand). With
+      [n = 1] the per-pid locals and helping scratch are not
+      cache-line padded: there is no second writer to keep apart.
       @raise Invalid_argument if [k < 2] or [n < 1]. The accuracy
       guarantee additionally needs [k >= sqrt n], which is {e not}
       enforced (experiment E7 exercises the failure regime). *)

@@ -174,8 +174,14 @@ let ts_max_capacity = Packed.max_value + 1
    concurrent test&set racing a grow lands in a chunk both directories
    point at and is never lost — the same cell-sharing property the old
    copy-the-Atomic-pointers grow had, without copying any switch
-   state. *)
-let ts_chunk_bits = 8
+   state.
+
+   A chunk is 64 switches, and the default first allocation is one
+   chunk: Algorithm 1 only ever sets about k·⌈log_k v⌉ switches (56
+   for v = 10^8 at k = 4, 64 for v = 2^32 at k = 2), so one chunk
+   covers the counts a service counter reaches, and a counter that
+   does outgrow it pays one [grow] per doubling of the directory. *)
+let ts_chunk_bits = 6
 let ts_chunk_size = 1 lsl ts_chunk_bits
 
 type ts_array = {
@@ -187,7 +193,7 @@ type ts_array = {
 let[@inline] ts_chunks_for capacity =
   (capacity + ts_chunk_size - 1) lsr ts_chunk_bits
 
-let ts_array c ?name:_ ?(capacity_hint = 1024) () =
+let ts_array c ?name:_ ?(capacity_hint = ts_chunk_size) () =
   if capacity_hint < 1 || capacity_hint > ts_max_capacity then
     invalid_arg "Atomic_backend.ts_array: capacity_hint out of range";
   { ts_ctx = c;
@@ -268,7 +274,9 @@ let compare_and_set r ~pid ~expect ~value =
 (* One Packed word per process, cache-line strided in a single Flat
    block (announcements are single-writer like swmr slots): the
    helping scan's unrolled loads walk one block with independent line
-   fetches instead of chasing a boxed Atomic per process. *)
+   fetches instead of chasing a boxed Atomic per process. With one
+   process there is no other writer to keep off the line, and slot 0
+   sits at offset 0 whatever the stride, so the block is one word. *)
 type ann_array = { an_ctx : ctx; an_cells : Flat.t }
 
 type ann = int
@@ -280,7 +288,7 @@ let ann_stride = Padded.padding_words + 1
 let ann_array c ?name:_ ~n () =
   if n < 1 then invalid_arg "Atomic_backend.ann_array: n < 1";
   let zero = Packed.pack ~value:0 ~sn:0 in
-  let cells = Flat.make (n * ann_stride) zero in
+  let cells = Flat.make (if n = 1 then 1 else n * ann_stride) zero in
   { an_ctx = c; an_cells = cells }
 
 let announce a ~pid ~value ~sn =

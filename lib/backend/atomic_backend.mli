@@ -13,9 +13,11 @@
     removes write false-sharing where the flat density buys nothing
     (prefetch is a no-op there). Single-writer slots and
     announcements are one flat block at one-slot-per-cache-line stride
-    so distinct pids never contend on a line. The switch sequence is
-    stride-1 flat chunks behind a directory that grows lock-free on
-    demand from [capacity_hint], sharing chunk blocks across grows so
+    so distinct pids never contend on a line (a one-process
+    announcement array is a single word). The switch sequence is
+    stride-1 flat chunks of 64 switches behind a directory that grows
+    lock-free on demand from [capacity_hint] (default: one chunk),
+    sharing chunk blocks across grows so
     concurrent test&sets are never lost; the absolute ceiling is
     [Packed.max_value + 1 = 2^20] switches, imposed by the packed
     announcement encoding, beyond which {!Ts_capacity_exceeded}

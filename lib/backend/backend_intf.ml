@@ -142,7 +142,9 @@ module type S = sig
 
   val ts_array : ctx -> ?name:string -> ?capacity_hint:int -> unit -> ts_array
   (** [capacity_hint] sizes the initial physical allocation where one
-      exists; it is not a bound. *)
+      exists; it is not a bound. Backends that allocate pick a small
+      default (the Atomic backend's is one 64-switch chunk) and grow
+      on demand. *)
 
   val test_and_set : ts_array -> pid:int -> int -> bool
   (** [test_and_set a ~pid j] probes [switch_j]; [true] iff this call

@@ -11,7 +11,7 @@ let max_capacity = A.max_capacity
 
 type t = A.t
 
-let create ?(switch_capacity = 1024) ~n ~k () =
+let create ?(switch_capacity = 64) ~n ~k () =
   if switch_capacity < 1 || switch_capacity > max_capacity then
     invalid_arg "Mc_kcounter.create: switch_capacity out of range";
   A.create (Backend.Atomic_backend.ctx ()) ~capacity_hint:switch_capacity ~n ~k

@@ -15,15 +15,19 @@
       stored as {!Backend.Packed} single-word atomics rather than
       tuples, and the read helping baseline reuses a per-pid scratch
       array.
-    - per-pid state ([H] announcement cells, locals, scratch) is padded
-      to cache-line granularity ({!Backend.Padded}) so increments by
-      different domains never contend on a line.
+    - with [n > 1], per-pid state ([H] announcement cells, locals,
+      scratch) is padded to cache-line granularity ({!Backend.Padded})
+      so increments by different domains never contend on a line. With
+      [n = 1] there is one writer and the padding is skipped.
 
-    Capacity: the switch sequence starts at [switch_capacity] cells and
-    grows (lock-free, by doubling) on demand, so exhaustion is
-    recoverable — growth allocates, but index [j] is only reached after
-    roughly [k^(j/k)] increments, so growth beyond the default is
-    already astronomically rare. The absolute ceiling is
+    Capacity: the switch sequence starts at [switch_capacity] cells,
+    rounded up to whole 64-switch chunks, and grows (lock-free, by
+    doubling the chunk directory) on demand, so exhaustion is
+    recoverable — growth allocates. Algorithm 1 sets about
+    [k·⌈log_k v⌉] switches for a count of [v] (56 for [v = 10^8] at
+    [k = 4], 64 for [v = 2^32] at [k = 2]), so the default single
+    chunk rarely grows, and an [n = 1] counter holds under 1 KB of
+    live heap. The absolute ceiling is
     {!max_capacity} [= 2^20] switches, imposed by the packed
     announcement encoding; {!Capacity_exceeded} is raised beyond it
     (unreachable in any physical execution: switch [2^20] with [k = 2]
@@ -43,8 +47,9 @@ type t
 
 val create : ?switch_capacity:int -> n:int -> k:int -> unit -> t
 (** @raise Invalid_argument if [k < 2], [n < 1], or [switch_capacity]
-    is outside [1 .. max_capacity]. [switch_capacity] (default 1024) is
-    only the initial allocation; the switch array grows on demand. *)
+    is outside [1 .. max_capacity]. [switch_capacity] (default 64, one
+    chunk) is only the initial allocation; the switch array grows on
+    demand. *)
 
 val increment : t -> pid:int -> unit
 

@@ -83,16 +83,23 @@ let write ~dir ~wal_index entries =
   let fd =
     Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
-  (* A failed write (ENOSPC) must not leak the fd: a periodic snapshot
-     on a full disk would otherwise lose one per interval. The previous
-     snapshot stays in place, since the rename never happens. *)
+  (* A failed write (ENOSPC) or fsync fails the snapshot. The fd is
+     closed either way: a periodic snapshot on a bad disk would
+     otherwise leak one per interval. An unsynced temp file is also
+     removed, so it can never be renamed over the previous snapshot,
+     which stays in place. *)
+  let fail e =
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    raise e
+  in
   (match write_all fd (Obuf.bytes buf) 0 (Obuf.length buf) with
-   | () ->
-     (try Unix.fsync fd with Unix.Unix_error _ -> ());
-     Unix.close fd
+   | () -> ()
+   | exception e -> fail e);
+  (match Unix.fsync fd with
+   | () -> Unix.close fd
    | exception e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+     fail e);
   Unix.rename tmp final;
   (* Persist the rename; best-effort like the WAL's rotation. *)
   (match Unix.openfile dir [ Unix.O_RDONLY ] 0 with

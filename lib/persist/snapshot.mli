@@ -9,7 +9,9 @@ val path : string -> string
 val write : dir:string -> wal_index:int -> (string * Delta.t) list -> unit
 (** Write a snapshot covering every WAL record below [wal_index] (the
     caller must capture that index {e before} exporting the entries).
-    Atomic: a crash mid-write leaves the previous snapshot intact. *)
+    Atomic: a crash mid-write leaves the previous snapshot intact.
+    @raise Unix.Unix_error if writing or fsyncing the temp file fails;
+    the temp file is removed and the previous snapshot stays. *)
 
 val load : dir:string -> ((string * Delta.t) list * int) option
 (** The snapshot entries and their WAL index, or [None] if there is no

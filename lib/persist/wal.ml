@@ -354,18 +354,34 @@ let truncate_upto t idx =
               [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
               0o644
           in
-          write_header tfd ~base:idx;
-          write_all tfd b cut (len - cut);
-          (try Unix.fsync tfd with Unix.Unix_error _ -> ());
-          Unix.close tfd;
-          Unix.rename tmp t.path;
-          fsync_dir t.dir;
-          Unix.close t.fd;
-          let fd = Unix.openfile t.path [ Unix.O_RDWR ] 0o644 in
-          ignore (Unix.lseek fd 0 Unix.SEEK_END);
-          t.fd <- fd;
-          t.base <- idx;
-          t.truncations <- t.truncations + 1
+          let close_tmp () = try Unix.close tfd with Unix.Unix_error _ -> () in
+          (match
+             write_header tfd ~base:idx;
+             write_all tfd b cut (len - cut)
+           with
+           | () -> ()
+           | exception e ->
+             close_tmp ();
+             raise e);
+          match Unix.fsync tfd with
+          | exception Unix.Unix_error _ ->
+            (* An unsynced rewrite must never replace the live log: a
+               crash after the rename could lose records the old file
+               held durably. Keep the old log and its base; the next
+               snapshot retries the rotation. *)
+            close_tmp ();
+            (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+            t.fsync_errors <- t.fsync_errors + 1
+          | () ->
+            Unix.close tfd;
+            Unix.rename tmp t.path;
+            fsync_dir t.dir;
+            Unix.close t.fd;
+            let fd = Unix.openfile t.path [ Unix.O_RDWR ] 0o644 in
+            ignore (Unix.lseek fd 0 Unix.SEEK_END);
+            t.fd <- fd;
+            t.base <- idx;
+            t.truncations <- t.truncations + 1
       end)
 
 let stats t =

@@ -76,7 +76,10 @@ val next_index : t -> int
 
 val truncate_upto : t -> int -> unit
 (** Drop records below the given index (covered by a snapshot) by
-    atomically rewriting the file with a new base. *)
+    atomically rewriting the file with a new base. If the rewrite
+    fails to fsync, it is discarded: the live log, its base and
+    [truncations] stay as they were, and [fsync_errors] counts the
+    failure. *)
 
 val stats : t -> stats
 

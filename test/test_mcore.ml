@@ -262,6 +262,53 @@ let test_kcounter_capacity_growth () =
     "capacity still covers every set switch" true
     (Mcore.Mc_kcounter.capacity counter >= cap0)
 
+(* A default counter starts with one 64-switch chunk; at k = 2 a
+   single add of 2^34 drives the announcement past switch 64, so the
+   directory must grow mid-add and both reads must stay in the
+   envelope afterwards. *)
+let test_kcounter_default_capacity_grows () =
+  let k = 2 and v = 1 lsl 34 in
+  let counter = Mcore.Mc_kcounter.create ~n:1 ~k () in
+  check vi "default capacity is one chunk" 64
+    (Mcore.Mc_kcounter.capacity counter);
+  Mcore.Mc_kcounter.add counter ~pid:0 v;
+  Alcotest.(check bool)
+    "add crossed switch 64" true
+    (Mcore.Mc_kcounter.switches_set counter > 64);
+  Alcotest.(check bool)
+    "capacity grew" true
+    (Mcore.Mc_kcounter.capacity counter > 64);
+  List.iter
+    (fun (label, x) ->
+      if not (Approx.Accuracy.within ~k ~exact:v x) then
+        Alcotest.failf "%s %d of count %d outside envelope after growth"
+          label x v)
+    [ ("read", Mcore.Mc_kcounter.read counter ~pid:0);
+      ("read_fast", Mcore.Mc_kcounter.read_fast counter ~pid:0);
+      ("cached read_fast", Mcore.Mc_kcounter.read_fast counter ~pid:0) ]
+
+(* Live heap bytes per object: [Gc] live words across building
+   [count] objects (kept alive in one array, whose slot is counted
+   too), after a compaction on both sides. *)
+let live_bytes_per ~count make =
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let objs = Array.init count make in
+  let after = live () in
+  ignore (Sys.opaque_identity objs);
+  (after - before) * (Sys.word_size / 8) / count
+
+let test_kcounter_space_budget () =
+  let bytes =
+    live_bytes_per ~count:10_000 (fun _ ->
+        Mcore.Mc_kcounter.create ~n:1 ~k:4 ())
+  in
+  if bytes > 1_100 then
+    Alcotest.failf "Mc_kcounter ~n:1 holds %d B live, budget 1100 B" bytes
+
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation fast paths                                          *)
 (* ------------------------------------------------------------------ *)
@@ -414,6 +461,9 @@ let suite =
     ("padded int array", `Quick, test_padded_int_array);
     ("padded atomic", `Quick, test_padded_atomic);
     ("kcounter capacity growth", `Quick, test_kcounter_capacity_growth);
+    ("kcounter default capacity grows", `Quick,
+     test_kcounter_default_capacity_grows);
+    ("kcounter space budget", `Quick, test_kcounter_space_budget);
     ("kcounter increment zero-alloc", `Quick, test_kcounter_increment_no_alloc);
     ("kcounter read zero-alloc", `Quick, test_kcounter_read_no_alloc);
     ("kmaxreg zero-alloc", `Quick, test_kmaxreg_no_alloc);

@@ -172,6 +172,42 @@ let test_wal_truncate_upto () =
         (entries_equal s.Persist.Wal.s_entries
            (List.filteri (fun i _ -> i >= 6) entries @ [ ("tail", D.Max 99) ])))
 
+(* A rotation whose rewrite fails to fsync must not replace the live
+   log: wal.log.tmp is a symlink to /dev/null, where fsync fails with
+   EINVAL. The old log stays a regular file holding every record, the
+   failure is counted, and the next rotation (the symlink is gone with
+   the discarded temp file) succeeds. *)
+let test_wal_truncate_fsync_error () =
+  with_dir (fun dir ->
+      let entries =
+        List.init 10 (fun i -> (Printf.sprintf "o%d" i, D.Max i))
+      in
+      let wal =
+        Persist.Wal.open_ ~dir ~fsync:Persist.Wal.Never
+          ~scan:(Persist.Wal.scan ~dir)
+      in
+      List.iter (Persist.Wal.append wal) entries;
+      Persist.Wal.flush wal;
+      let log = Filename.concat dir "wal.log" in
+      Unix.symlink "/dev/null" (log ^ ".tmp");
+      Persist.Wal.truncate_upto wal 6;
+      check Alcotest.bool "wal.log still a regular file" true
+        ((Unix.lstat log).Unix.st_kind = Unix.S_REG);
+      let st = Persist.Wal.stats wal in
+      check Alcotest.int "failure counted" 1 st.Persist.Wal.fsync_errors;
+      check Alcotest.int "no truncation" 0 st.Persist.Wal.truncations;
+      let s = Persist.Wal.scan ~dir in
+      check Alcotest.int "base kept" 0 s.Persist.Wal.s_base;
+      check Alcotest.bool "every record kept" true
+        (entries_equal s.Persist.Wal.s_entries entries);
+      Persist.Wal.truncate_upto wal 6;
+      Persist.Wal.close wal;
+      let s = Persist.Wal.scan ~dir in
+      check Alcotest.int "retry rotates the base" 6 s.Persist.Wal.s_base;
+      check Alcotest.bool "records past the cut" true
+        (entries_equal s.Persist.Wal.s_entries
+           (List.filteri (fun i _ -> i >= 6) entries)))
+
 (* The fsync policies' accounting: [fsyncs] are syncs that ran,
    [fsyncs_deferred] flushes that wrote records but skipped the sync,
    [fsync_records_covered] the records those syncs made durable. *)
@@ -315,6 +351,27 @@ let test_snapshot_enospc () =
        with
        | () -> Alcotest.fail "write to /dev/full succeeded"
        | exception Unix.Unix_error (ENOSPC, _, _) -> ());
+      check Alcotest.int "no fd leaked" fds (open_fds ());
+      match Persist.Snapshot.load ~dir with
+      | Some (loaded, 3) ->
+        check Alcotest.bool "previous snapshot intact" true
+          (entries_equal before loaded)
+      | _ -> Alcotest.fail "previous snapshot lost")
+
+(* A disk that refuses fsync: the temp file is /dev/null, where fsync
+   fails with EINVAL. The write raises, and the unsynced temp is never
+   renamed over the previous snapshot. *)
+let test_snapshot_fsync_error () =
+  with_dir (fun dir ->
+      let before = [ ("c", D.Counter [| 1; 2 |]) ] in
+      Persist.Snapshot.write ~dir ~wal_index:3 before;
+      Unix.symlink "/dev/null" (Persist.Snapshot.path dir ^ ".tmp");
+      let fds = open_fds () in
+      (match
+         Persist.Snapshot.write ~dir ~wal_index:9 [ ("c", D.Counter [| 7 |]) ]
+       with
+       | () -> Alcotest.fail "unsynced snapshot reported as written"
+       | exception Unix.Unix_error (EINVAL, _, _) -> ());
       check Alcotest.int "no fd leaked" fds (open_fds ());
       match Persist.Snapshot.load ~dir with
       | Some (loaded, 3) ->
@@ -702,12 +759,15 @@ let () =
          ("close syncs under Never", `Quick, test_wal_never_close_syncs);
          ("failed fsync is not a sync", `Quick, test_wal_fsync_error);
          ("failed fsyncs counted in STATS", `Quick, test_fsync_errors_counted);
-         ("fsync policy text round-trips", `Quick, test_wal_policy_text) ]);
+         ("fsync policy text round-trips", `Quick, test_wal_policy_text);
+         ("unsynced rotation keeps the log", `Quick,
+          test_wal_truncate_fsync_error) ]);
       ("snapshot",
        [ QCheck_alcotest.to_alcotest test_snapshot_roundtrip;
          ("corrupt snapshot is ignored", `Quick,
           test_snapshot_corrupt_ignored);
          ("ENOSPC write closes its fd", `Quick, test_snapshot_enospc);
+         ("failed fsync keeps the old one", `Quick, test_snapshot_fsync_error);
          ("failed ticks counted in STATS", `Quick,
           test_snapshot_errors_counted) ]);
       ("recovery",

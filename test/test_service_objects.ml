@@ -87,6 +87,29 @@ let build_table ?(shards = 2) specs =
   let metrics = Service.Metrics.create ~shards ~io_domains:1 () in
   O.build ~metrics ~shards specs
 
+(* Live heap bytes per hosted k-counter on a one-shard server: [Gc]
+   live words across [O.build] of 10k counters (specs and metrics
+   registry built beforehand, so the object table, the counters and
+   their per-object stats rows are what is measured). *)
+let test_hosted_kcounter_space_budget () =
+  let count = 10_000 in
+  let specs =
+    List.init count (fun i ->
+        { O.name = Printf.sprintf "c%d" i; kind = O.Kcounter { k = 4 } })
+  in
+  let metrics = Service.Metrics.create ~shards:1 ~io_domains:1 () in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  let t = O.build ~metrics ~shards:1 specs in
+  let after = live () in
+  ignore (Sys.opaque_identity (t, specs, metrics));
+  let bytes = (after - before) * (Sys.word_size / 8) / count in
+  if bytes > 1_700 then
+    Alcotest.failf "hosted k-counter holds %d B live, budget 1700 B" bytes
+
 let test_table_dense_ids () =
   let specs = O.default_specs ~counters:3 ~k:2 in
   let t = build_table specs in
@@ -239,6 +262,7 @@ let suite =
     ("fnv properties", `Quick, test_fnv_properties);
     ("fnv bit spread", `Quick, test_fnv_bit_spread);
     ("table dense ids", `Quick, test_table_dense_ids);
+    ("hosted kcounter space budget", `Quick, test_hosted_kcounter_space_budget);
     ("intern cache", `Quick, test_intern_cache);
     ("intern cache holds the default set", `Quick, test_intern_default_set);
     ("dense lookup allocates nothing", `Quick, test_dense_lookup_no_alloc);
