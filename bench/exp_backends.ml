@@ -15,7 +15,7 @@ let run () =
          Backend_smoke.n Backend_smoke.k Backend_smoke.incs)
     ~header:
       [ "backend"; "counter read"; "in envelope"; "maxreg read"; "in envelope";
-        "pid0 steps" ]
+        "fast maxreg read"; "in envelope, = read"; "pid0 steps" ]
     (List.map
        (fun r ->
          [ r.Backend_smoke.backend;
@@ -23,6 +23,8 @@ let run () =
            (if r.Backend_smoke.counter_ok then "yes" else "NO");
            string_of_int r.Backend_smoke.maxreg_read;
            (if r.Backend_smoke.maxreg_ok then "yes" else "NO");
+           string_of_int r.Backend_smoke.fast_maxreg_read;
+           (if r.Backend_smoke.fast_maxreg_ok then "yes" else "NO");
            string_of_int r.Backend_smoke.steps ])
        rows);
   if not (Backend_smoke.all_ok rows) then

@@ -408,11 +408,14 @@ let run_backends seed =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-14s counter=%-6d %-3s maxreg=%-6d %-3s pid0-steps=%d\n"
+        "  %-14s counter=%-6d %-3s maxreg=%-6d %-3s fast-maxreg=%-6d %-3s \
+         pid0-steps=%d\n"
         r.Backend_smoke.backend r.Backend_smoke.counter_read
         (if r.Backend_smoke.counter_ok then "ok" else "BAD")
         r.Backend_smoke.maxreg_read
         (if r.Backend_smoke.maxreg_ok then "ok" else "BAD")
+        r.Backend_smoke.fast_maxreg_read
+        (if r.Backend_smoke.fast_maxreg_ok then "ok" else "BAD")
         r.Backend_smoke.steps)
     rows;
   if Backend_smoke.all_ok rows then begin
@@ -1214,5 +1217,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.15.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.16.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

@@ -75,7 +75,7 @@ module Make (B : Backend.Backend_intf.S) = struct
     done;
     { n;
       k;
-      switches = B.ts_array ctx ~name:(name ^ ".switch") ?capacity_hint ();
+      switches = B.ts_array ctx ~name:(name ^ ".switch") ?capacity_hint ~n ();
       h = B.ann_array ctx ~name:(name ^ ".H") ~n ();
       locals }
 

@@ -28,6 +28,7 @@ module Make (B : Backend.Backend_intf.S) = struct
     k : int;
     inner : Obj_intf.max_register;
     tree : Tree.t option;  (* the default inner, when we built it *)
+    top : B.cas_cell;  (* write_fast's futility threshold, see below *)
     caches : cache array;
   }
 
@@ -49,6 +50,7 @@ module Make (B : Backend.Backend_intf.S) = struct
       k;
       inner;
       tree = inner_tree;
+      top = B.cas_cell ctx ~name:(name ^ ".top") 1;
       caches =
         Array.init n (fun _ ->
             Backend.Padded.copy
@@ -57,11 +59,41 @@ module Make (B : Backend.Backend_intf.S) = struct
                 fast_hits = 0;
                 fast_misses = 0 }) }
 
+  let check_value t v =
+    if v < 0 || v >= t.m then invalid_arg "Kmaxreg_algo.write: value out of range"
+
   let write t ~pid v =
-    if v < 0 || v >= t.m then invalid_arg "Kmaxreg_algo.write: value out of range";
+    check_value t v;
     if v > 0 then
       (* lines 8-9: index of the bit left of v's base-k MSB *)
       t.inner.Obj_intf.mr_write ~pid (Zmath.floor_log ~base:t.k v + 1)
+
+  (* Futile-write filter (DESIGN §9). [top] holds T = min(k^p, max_int)
+     for the largest index p whose inner write has returned (1 before
+     any), so the inner register already holds at least p, and a value
+     v < T (whose index floor(log_k v) + 1 is then at most p) is
+     covered: the write linearizes at the [top] load. [top] must only
+     be raised after the inner write returns; raising it first lets a
+     covered write return before the register shows it. A CAS fails
+     only when another write raised [top], which takes at most
+     [inner_bound] distinct values, so the loop is wait-free. *)
+  let rec raise_top t ~pid target =
+    let cur = B.cas_read t.top ~pid in
+    if
+      cur < target
+      && not (B.compare_and_set t.top ~pid ~expect:cur ~value:target)
+    then raise_top t ~pid target
+
+  let write_fast t ~pid v =
+    check_value t v;
+    if v >= B.cas_read t.top ~pid then begin
+      let p = Zmath.floor_log ~base:t.k v + 1 in
+      t.inner.Obj_intf.mr_write ~pid p;
+      raise_top t ~pid
+        (match Zmath.pow t.k p with
+         | x -> x
+         | exception Zmath.Overflow -> max_int)
+    end
 
   let read t ~pid =
     (* lines 2-5 *)

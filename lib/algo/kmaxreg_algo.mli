@@ -37,6 +37,21 @@ module Make (B : Backend.Backend_intf.S) : sig
   (** @raise Invalid_argument if the value is outside [0 .. m-1].
       Writing 0 is a no-op (the register starts at 0). *)
 
+  val write_fast : t -> pid:int -> int -> unit
+  (** {!write} behind a futile-write filter. A one-word threshold
+      [T = min(k^p, max_int)], where [p] is the largest inner index
+      whose write has {e returned} (so [T] starts at 1), names what the
+      inner register is known to hold. A write of [v < T] is covered by
+      it and returns after that one load: no logarithm, no switch-heap
+      walk, no watermark bump (so {!read_fast} caches stay valid). Any
+      other write runs {!write}'s body and then raises [T] with a
+      CAS-max loop that retries at most {!inner_bound} times
+      (wait-free). Linearizable with any mix of {!write}/{!write_fast}
+      callers and any [inner]; {!write}'s charged-step sequence is
+      untouched. A filtered write costs one primitive step and
+      allocates nothing.
+      @raise Invalid_argument as {!write}. *)
+
   val read : t -> pid:int -> int
   (** 0 or a power of [k]; may exceed [m - 1] (the relaxed
       specification only requires [x <= v*k]). *)

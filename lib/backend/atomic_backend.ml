@@ -193,15 +193,20 @@ type ts_array = {
 let[@inline] ts_chunks_for capacity =
   (capacity + ts_chunk_size - 1) lsr ts_chunk_bits
 
-let ts_array c ?name:_ ?(capacity_hint = ts_chunk_size) () =
+(* The watermark is padded onto its own line so that readers
+   validating against it do not contend with other processes' writes;
+   with one process there is no other writer, and a plain 2-word
+   [Atomic] (16 B instead of 136 B) will do. *)
+let ts_array c ?name:_ ?(capacity_hint = ts_chunk_size) ~n () =
   if capacity_hint < 1 || capacity_hint > ts_max_capacity then
     invalid_arg "Atomic_backend.ts_array: capacity_hint out of range";
+  if n < 1 then invalid_arg "Atomic_backend.ts_array: n < 1";
   { ts_ctx = c;
     chunks =
       Atomic.make
         (Array.init (ts_chunks_for capacity_hint) (fun _ ->
              Flat.make ts_chunk_size 0));
-    ts_ver = Padded.atomic 0 }
+    ts_ver = (if n = 1 then Atomic.make 0 else Padded.atomic 0) }
 
 (* Install a larger directory for switch index [j] (chunk [chunk]).
    Racing growers CAS and the losers retry against the winner's (at

@@ -140,11 +140,14 @@ module type S = sig
   val ts_max_capacity : int
   (** The absolute ceiling on switch indices, [max_int] if unbounded. *)
 
-  val ts_array : ctx -> ?name:string -> ?capacity_hint:int -> unit -> ts_array
+  val ts_array :
+    ctx -> ?name:string -> ?capacity_hint:int -> n:int -> unit -> ts_array
   (** [capacity_hint] sizes the initial physical allocation where one
       exists; it is not a bound. Backends that allocate pick a small
       default (the Atomic backend's is one 64-switch chunk) and grow
-      on demand. *)
+      on demand. [n] is the number of processes that share the
+      sequence (as for {!ann_array}); a backend may lay out per-array
+      metadata for it, e.g. skip cache-line padding when [n = 1]. *)
 
   val test_and_set : ts_array -> pid:int -> int -> bool
   (** [test_and_set a ~pid j] probes [switch_j]; [true] iff this call

@@ -113,8 +113,8 @@ module Make (B : Backend_intf.S) = struct
 
   type ts_array = { ts_ctx : ctx; ts : B.ts_array }
 
-  let ts_array c ?name ?capacity_hint () =
-    { ts_ctx = c; ts = B.ts_array c.inner ?name ?capacity_hint () }
+  let ts_array c ?name ?capacity_hint ~n () =
+    { ts_ctx = c; ts = B.ts_array c.inner ?name ?capacity_hint ~n () }
 
   let test_and_set t ~pid j =
     maybe_pause t.ts_ctx pid;

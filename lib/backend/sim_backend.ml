@@ -128,7 +128,7 @@ type ts_array = {
   mutable ts_ver : int;  (* flip watermark; uncharged metadata, see reg_array *)
 }
 
-let ts_array c ?(name = "switch") ?capacity_hint:_ () =
+let ts_array c ?(name = "switch") ?capacity_hint:_ ~n:_ () =
   { ts_ctx = c;
     region = Sim.Memory.region (mem c) ~name ~default:(Sim.Memory.V_int 0) ();
     ts_ver = 0 }

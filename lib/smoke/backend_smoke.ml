@@ -1,5 +1,7 @@
 (* The functor-instantiation smoke matrix: drive the shared Algorithm 1
-   and Algorithm 2 bodies through every backend instantiation — Sim,
+   and Algorithm 2 bodies (Algorithm 2 both through the paper's
+   write/read and through write_fast/read_fast) through every backend
+   instantiation — Sim,
    Chaos(Sim), Atomic, Chaos(Atomic) — on one deterministic workload and
    check the k-multiplicative envelopes. Used by the `backends` CLI
    subcommand, the bench harness, and tools/ci.sh: a type error or an
@@ -11,6 +13,8 @@ type row = {
   counter_ok : bool;
   maxreg_read : int;
   maxreg_ok : bool;
+  fast_maxreg_read : int;
+  fast_maxreg_ok : bool;
   steps : int;
 }
 
@@ -33,15 +37,25 @@ module Drive (B : Backend.Backend_intf.S) = struct
       K.increment c ~pid:(i mod n)
     done;
     let x = K.read c ~pid:0 in
+    let writes = [ 5; 1_000; 123; final_write; 42 ] in
     let mr = M.create ctx ~m ~k () in
-    List.iter (fun v -> M.write mr ~pid:0 v) [ 5; 1_000; 123; final_write; 42 ];
+    List.iter (fun v -> M.write mr ~pid:0 v) writes;
     let y = M.read mr ~pid:0 in
+    let steps = B.steps ctx ~pid:0 in
+    (* The same writes through the futile-write filter, read through
+       the validated cache (a miss, then a hit). *)
+    let fast = M.create ctx ~m ~k () in
+    List.iter (fun v -> M.write_fast fast ~pid:0 v) writes;
+    ignore (M.read_fast fast ~pid:0);
+    let z = M.read_fast fast ~pid:0 in
     { backend = B.label;
       counter_read = x;
       counter_ok = Zmath.within_k ~k ~exact:incs x;
       maxreg_read = y;
       maxreg_ok = y >= final_write && y <= final_write * k;
-      steps = B.steps ctx ~pid:0 }
+      fast_maxreg_read = z;
+      fast_maxreg_ok = z = y && z >= final_write && z <= final_write * k;
+      steps }
 end
 
 module Drive_sim = Drive (Sim_backend)
@@ -70,4 +84,5 @@ let rows ?(seed = 7) () =
       (Chaos_atomic.ctx ~seed ~n (Backend.Atomic_backend.ctx ~count_steps:n ()))
   ]
 
-let all_ok rows = List.for_all (fun r -> r.counter_ok && r.maxreg_ok) rows
+let all_ok rows =
+  List.for_all (fun r -> r.counter_ok && r.maxreg_ok && r.fast_maxreg_ok) rows

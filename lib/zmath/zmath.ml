@@ -36,15 +36,17 @@ let pow k e =
 let pow_opt k e = match pow k e with v -> Some v | exception Overflow -> None
 
 (* The loop takes every free variable as a parameter: a nested [let rec]
-   capturing [base]/[v] would allocate a closure per call. *)
-let rec floor_log_go base v e acc =
+   capturing [base]/[lim] would allocate a closure per call. [lim] is
+   [v / base], computed once by the caller rather than divided out on
+   every iteration. *)
+let rec floor_log_go base lim e acc =
   (* [acc <= v / base] iff [acc * base <= v], and rules out overflow. *)
-  if acc > v / base then e else floor_log_go base v (e + 1) (acc * base)
+  if acc > lim then e else floor_log_go base lim (e + 1) (acc * base)
 
 let floor_log ~base v =
   if base < 2 then invalid_arg "Zmath.floor_log: base < 2";
   if v < 1 then invalid_arg "Zmath.floor_log: v < 1";
-  floor_log_go base v 0 1
+  floor_log_go base (v / base) 0 1
 
 let is_power_aux ~base v e =
   match pow_opt base e with Some p -> p = v | None -> false

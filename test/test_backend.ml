@@ -15,7 +15,7 @@ module Chaos_sim = Backend.Chaos_backend.Make (Sim_backend)
 
 let test_atomic_ts_growth () =
   let c = AB.ctx () in
-  let ts = AB.ts_array c ~capacity_hint:1 () in
+  let ts = AB.ts_array c ~capacity_hint:1 ~n:1 () in
   (* Capacity is the hint rounded up to whole flat chunks. *)
   let cap0 = AB.ts_capacity ts in
   Alcotest.(check bool) "initial capacity covers the hint" true (cap0 >= 1);
@@ -35,7 +35,7 @@ let test_atomic_ts_growth () =
 
 let test_atomic_ts_ceiling () =
   let c = AB.ctx () in
-  let ts = AB.ts_array c ~capacity_hint:1 () in
+  let ts = AB.ts_array c ~capacity_hint:1 ~n:1 () in
   check vi "ceiling is 2^20" (1 lsl 20) AB.ts_max_capacity;
   (* The exception carries the offending index and the ceiling. *)
   (try
@@ -49,7 +49,7 @@ let test_atomic_ts_ceiling () =
 
 let test_atomic_ts_states () =
   let c = AB.ctx () in
-  let ts = AB.ts_array c ~capacity_hint:4 () in
+  let ts = AB.ts_array c ~capacity_hint:4 ~n:1 () in
   ignore (AB.test_and_set ts ~pid:0 1);
   ignore (AB.test_and_set ts ~pid:0 3);
   let states = AB.ts_states ts in
@@ -159,7 +159,7 @@ let test_chaos_preserves_values () =
   (* Injection must never change what the primitives compute. *)
   let inner = AB.ctx () in
   let c = Chaos_atomic.ctx ~rate:1 ~seed:7 ~n:1 inner in
-  let ts = Chaos_atomic.ts_array c ~capacity_hint:1 () in
+  let ts = Chaos_atomic.ts_array c ~capacity_hint:1 ~n:1 () in
   Alcotest.(check bool) "ts first" true (Chaos_atomic.test_and_set ts ~pid:0 2);
   Alcotest.(check bool) "ts second" false (Chaos_atomic.test_and_set ts ~pid:0 2);
   let cell = Chaos_atomic.cas_cell c 0 in

@@ -68,6 +68,103 @@ let test_explore_kmaxreg_exhaustive () =
   check vi "violations" 0 stats.violations;
   Alcotest.(check bool) "not truncated" false stats.truncated
 
+(* Algorithm 2's fast paths: the futile-write filter and the validated
+   read cache, over the default switch heap. [write pid] picks the
+   write path of process [pid]. *)
+let fast_kmaxreg_stats ~write script =
+  let build () =
+    let exec = Sim.Exec.create ~n:2 () in
+    let mr = Sim_algo.Kmaxreg.create (Sim_backend.ctx exec) ~n:2 ~m:5 ~k:2 () in
+    let handle =
+      { Obj_intf.mr_label = "kmaxreg-fast";
+        mr_write = (fun ~pid v -> write pid mr ~pid v);
+        mr_read = (fun ~pid -> Sim_algo.Kmaxreg.read_fast mr ~pid) }
+    in
+    (exec, Workload.Script.maxreg_programs handle script)
+  in
+  Lincheck.Explore.exhaustive ~build ~spec:(Lincheck.Spec.k_max_register ~k:2)
+    ()
+
+let test_explore_kmaxreg_write_fast () =
+  let stats =
+    fast_kmaxreg_stats
+      ~write:(fun _ -> Sim_algo.Kmaxreg.write_fast)
+      [| [ Write 2; Read ]; [ Write 4; Read ] |]
+  in
+  check vi "violations" 0 stats.violations;
+  Alcotest.(check bool) "not truncated" false stats.truncated;
+  (* pid 0's second write is filtered by its first, with pid 1's
+     write and read interleaved anywhere around both. *)
+  let stats =
+    fast_kmaxreg_stats
+      ~write:(fun _ -> Sim_algo.Kmaxreg.write_fast)
+      [| [ Write 3; Write 3 ]; [ Write 1; Read ] |]
+  in
+  check vi "repeated write: violations" 0 stats.violations;
+  Alcotest.(check bool) "repeated write: not truncated" false stats.truncated;
+  (* The paper's write and write_fast on the same register. *)
+  let stats =
+    fast_kmaxreg_stats
+      ~write:(fun pid ->
+        if pid = 0 then Sim_algo.Kmaxreg.write_fast else Sim_algo.Kmaxreg.write)
+      [| [ Write 2; Read ]; [ Write 4; Read ] |]
+  in
+  check vi "mixed write paths: violations" 0 stats.violations;
+  Alcotest.(check bool) "mixed write paths: not truncated" false
+    stats.truncated
+
+(* Negative control for the filter: publishing the threshold before the
+   inner write lands lets a covered write return while the register
+   still reads below it. The explorer must catch this. *)
+module Early_top_kmaxreg = struct
+  module K = Sim_algo.Kmaxreg
+
+  type t = { mr : K.t; top : Sim_backend.cas_cell; k : int }
+
+  let create ctx ~n ~m ~k =
+    { mr = K.create ctx ~n ~m ~k (); top = Sim_backend.cas_cell ctx 1; k }
+
+  let rec raise_top t ~pid target =
+    let cur = Sim_backend.cas_read t.top ~pid in
+    if
+      cur < target
+      && not (Sim_backend.compare_and_set t.top ~pid ~expect:cur ~value:target)
+    then raise_top t ~pid target
+
+  let write t ~pid v =
+    if v >= Sim_backend.cas_read t.top ~pid then begin
+      raise_top t ~pid (Zmath.pow t.k (Zmath.floor_log ~base:t.k v + 1));
+      K.write t.mr ~pid v
+    end
+
+  let handle t =
+    { Obj_intf.mr_label = "kmaxreg-early-top";
+      mr_write = (fun ~pid v -> write t ~pid v);
+      mr_read = (fun ~pid -> K.read_fast t.mr ~pid) }
+end
+
+let test_explore_finds_early_top_bug () =
+  let build () =
+    let exec = Sim.Exec.create ~n:2 () in
+    let mr = Early_top_kmaxreg.create (Sim_backend.ctx exec) ~n:2 ~m:5 ~k:2 in
+    let programs =
+      Workload.Script.maxreg_programs
+        (Early_top_kmaxreg.handle mr)
+        [| [ Write 2; Read ]; [ Write 4 ] |]
+    in
+    (exec, programs)
+  in
+  let stats =
+    Lincheck.Explore.exhaustive ~build
+      ~spec:(Lincheck.Spec.k_max_register ~k:2) ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "found %d violations in %d executions" stats.violations
+       stats.executions)
+    true
+    (stats.violations > 0);
+  Alcotest.(check bool) "not truncated" false stats.truncated
+
 (* Negative control: the collect-based max register this repository's
    first Linear_maxreg used. A read that collects cells one by one is not
    linearizable (the maximum can jump past the assembled value); the
@@ -262,6 +359,9 @@ let suite =
     ("pct priority based", `Quick, test_pct_priority_based);
     ("pct demotion diversifies", `Quick, test_pct_demotion_changes_processes);
     ("pct respects runnable", `Quick, test_pct_respects_runnable);
-    ("pct drives kcounter", `Quick, test_pct_drives_kcounter) ]
+    ("pct drives kcounter", `Quick, test_pct_drives_kcounter);
+    ("explore kmaxreg write_fast exhaustive", `Slow,
+     test_explore_kmaxreg_write_fast);
+    ("explore finds early-top bug", `Quick, test_explore_finds_early_top_bug) ]
 
 let () = Alcotest.run "explore" [ ("explore", suite) ]

@@ -14,7 +14,11 @@
    - Gc.minor_words: the cache-hit read and the bulk add allocate
      nothing on the atomic backend.
    - The kmaxreg validated cache agrees with the plain read, including
-     the degraded custom-inner case. *)
+     the degraded custom-inner case.
+   - The kmaxreg futile-write filter: [write_fast] then reads observe
+     what [write] then reads do on every backend; a covered write
+     charges one step, keeps the read cache valid and allocates
+     nothing. *)
 
 let check = Alcotest.check
 
@@ -23,6 +27,8 @@ module AK = Algo.Kcounter_algo.Make (Backend.Atomic_backend)
 module Chaos_atomic = Backend.Chaos_backend.Make (Backend.Atomic_backend)
 module CK = Algo.Kcounter_algo.Make (Chaos_atomic)
 module AM = Algo.Kmaxreg_algo.Make (Backend.Atomic_backend)
+module SM = Sim_algo.Kmaxreg
+module CM = Algo.Kmaxreg_algo.Make (Chaos_atomic)
 module AT = Algo.Tree_maxreg_algo.Make (Backend.Atomic_backend)
 module AColl = Algo.Collect_counter_algo.Make (Backend.Atomic_backend)
 
@@ -305,6 +311,139 @@ let test_kmaxreg_custom_inner_fallback () =
     (AM.read_fast mr ~pid:0);
   check Alcotest.int "no hits on the fallback path" 0 (AM.fast_hits mr ~pid:0)
 
+(* ------------------------------------------------------------------ *)
+(* kmaxreg futile-write filter                                         *)
+(* ------------------------------------------------------------------ *)
+
+let mr_m = 1 lsl 20
+
+let arb_writes =
+  QCheck.make
+    ~print:(fun seq ->
+      String.concat " "
+        (List.map
+           (fun (pid, w) ->
+             match w with
+             | Some v -> Printf.sprintf "w%d(%d)" pid v
+             | None -> Printf.sprintf "r%d" pid)
+           seq))
+    QCheck.Gen.(
+      list_size (int_range 1 60)
+        (pair (int_bound (n - 1))
+           (frequency
+              [ (3, map Option.some (int_bound (mr_m - 1)));
+                (* k^e - 1, k^e and k^e + 1: where a write's index,
+                   and the threshold it publishes, step *)
+                ( 2,
+                  map2
+                    (fun e d -> Some (min (mr_m - 1) ((1 lsl e) + d)))
+                    (int_range 1 19) (int_range (-1) 1) );
+                (2, return None) ])))
+
+(* Reads of one interleaving (pid, Some v = write v | None = read_fast),
+   written through [write]. *)
+let mr_reads ~write ~read_fast mr seq =
+  List.filter_map
+    (fun (pid, op) ->
+      match op with
+      | Some v ->
+        write mr ~pid v;
+        None
+      | None -> Some (read_fast mr ~pid))
+    seq
+
+let mr_reads_in_sim ~fast seq =
+  let exec = Sim.Exec.create ~n () in
+  let mr = SM.create (Sim_backend.ctx exec) ~n ~m:mr_m ~k () in
+  let write = if fast then SM.write_fast else SM.write in
+  let reads = ref [] in
+  let programs =
+    Array.init n (fun i _fiber ->
+        if i = 0 then reads := mr_reads ~write ~read_fast:SM.read_fast mr seq)
+  in
+  ignore (Sim.Exec.run exec ~programs ~policy:Sim.Schedule.Round_robin ());
+  !reads
+
+let prop_write_fast_agrees =
+  QCheck.Test.make ~count:60
+    ~name:"write_fast/read_fast: same reads as write, on every backend"
+    arb_writes
+    (fun seq ->
+      let atomic fast =
+        let mr = AM.create (Backend.Atomic_backend.ctx ()) ~n ~m:mr_m ~k () in
+        mr_reads ~write:(if fast then AM.write_fast else AM.write)
+          ~read_fast:AM.read_fast mr seq
+      in
+      let chaos fast =
+        let ctx =
+          Chaos_atomic.ctx ~rate:2 ~seed:(List.length seq) ~n
+            (Backend.Atomic_backend.ctx ())
+        in
+        let mr = CM.create ctx ~n ~m:mr_m ~k () in
+        mr_reads ~write:(if fast then CM.write_fast else CM.write)
+          ~read_fast:CM.read_fast mr seq
+      in
+      let reference = atomic false in
+      reference = atomic true
+      && reference = chaos true
+      && reference = chaos false
+      && reference = mr_reads_in_sim ~fast:true seq
+      && reference = mr_reads_in_sim ~fast:false seq)
+
+(* A covered write costs the threshold load and nothing else: it leaves
+   the switch heap's watermark alone, so the next read_fast still hits.
+   The paper's write of the same value walks the heap and raises its
+   switches again, so the following read_fast misses. *)
+let test_futile_write_one_step () =
+  let exec = Sim.Exec.create ~n:1 () in
+  let c = Sim_backend.ctx exec in
+  let fast = SM.create c ~m:mr_m ~k:2 ()
+  and plain = SM.create c ~m:mr_m ~k:2 () in
+  let futile_steps = ref (-1) and plain_steps = ref (-1) in
+  let programs =
+    [| (fun _fiber ->
+         SM.write_fast fast ~pid:0 1000;
+         SM.write plain ~pid:0 1000;
+         ignore (SM.read_fast fast ~pid:0);
+         ignore (SM.read_fast plain ~pid:0);
+         let before = Sim_backend.steps c ~pid:0 in
+         SM.write_fast fast ~pid:0 700;
+         futile_steps := Sim_backend.steps c ~pid:0 - before;
+         let before = Sim_backend.steps c ~pid:0 in
+         SM.write plain ~pid:0 700;
+         plain_steps := Sim_backend.steps c ~pid:0 - before;
+         ignore (SM.read_fast fast ~pid:0);
+         ignore (SM.read_fast plain ~pid:0)) |]
+  in
+  ignore (Sim.Exec.run exec ~programs ~policy:Sim.Schedule.Round_robin ());
+  check Alcotest.int "futile write_fast charges exactly 1 step" 1 !futile_steps;
+  Alcotest.(check bool)
+    (Printf.sprintf "the paper's write walks the heap (%d steps)" !plain_steps)
+    true (!plain_steps > 1);
+  check Alcotest.int "read_fast after the futile write hits" 1
+    (SM.fast_hits fast ~pid:0);
+  check Alcotest.int "read_fast after the plain write misses" 0
+    (SM.fast_hits plain ~pid:0)
+
+let test_futile_write_no_alloc () =
+  let mr = AM.create (Backend.Atomic_backend.ctx ()) ~m:mr_m ~k:2 () in
+  AM.write_fast mr ~pid:0 70_000;
+  assert_no_alloc "futile write_fast" ~ops:100_000 (fun i ->
+      AM.write_fast mr ~pid:0 (i land 0xffff));
+  check Alcotest.int "register still reads the covering write" (1 lsl 17)
+    (AM.read mr ~pid:0)
+
+(* When k^p overflows, the threshold saturates at max_int instead of
+   raising, and still filters: every writable value is below it. *)
+let test_write_fast_saturates () =
+  let ctx = Backend.Atomic_backend.ctx ~count_steps:1 () in
+  let mr = AM.create ctx ~m:max_int ~k:1000 () in
+  AM.write_fast mr ~pid:0 (max_int - 1);
+  let before = Backend.Atomic_backend.steps ctx ~pid:0 in
+  AM.write_fast mr ~pid:0 (max_int / 2);
+  check Alcotest.int "write under the saturated threshold is filtered" 1
+    (Backend.Atomic_backend.steps ctx ~pid:0 - before)
+
 let test_mc_kmaxreg_wrapper () =
   let mr = Mcore.Mc_kmaxreg.create ~m:(1 lsl 20) ~k:2 () in
   check Alcotest.int "empty register reads 0 through the cache" 0
@@ -313,7 +452,15 @@ let test_mc_kmaxreg_wrapper () =
   check Alcotest.int "wrapper read_fast = read" (Mcore.Mc_kmaxreg.read mr)
     (Mcore.Mc_kmaxreg.read_fast mr);
   Alcotest.(check bool) "wrapper exposes hit counters" true
-    (Mcore.Mc_kmaxreg.fast_hits mr + Mcore.Mc_kmaxreg.fast_misses mr >= 2)
+    (Mcore.Mc_kmaxreg.fast_hits mr + Mcore.Mc_kmaxreg.fast_misses mr >= 2);
+  (* [write] is the filtered write: a covered value leaves the cache
+     valid. *)
+  let hits = Mcore.Mc_kmaxreg.fast_hits mr in
+  Mcore.Mc_kmaxreg.write mr 100;
+  check Alcotest.int "covered write: read_fast still 128" 128
+    (Mcore.Mc_kmaxreg.read_fast mr);
+  check Alcotest.int "covered write keeps the cache valid" (hits + 1)
+    (Mcore.Mc_kmaxreg.fast_hits mr)
 
 (* ------------------------------------------------------------------ *)
 (* add argument validation                                             *)
@@ -347,7 +494,14 @@ let () =
        [ ("read_fast agrees with read", `Quick, test_kmaxreg_read_fast_agrees);
          ("custom inner degrades to plain read", `Quick,
           test_kmaxreg_custom_inner_fallback);
-         ("mcore wrapper", `Quick, test_mc_kmaxreg_wrapper) ]);
+         ("mcore wrapper", `Quick, test_mc_kmaxreg_wrapper);
+         QCheck_alcotest.to_alcotest prop_write_fast_agrees;
+         ("futile write_fast costs one step", `Quick,
+          test_futile_write_one_step);
+         ("futile write_fast allocates nothing", `Quick,
+          test_futile_write_no_alloc);
+         ("write_fast threshold saturates", `Quick, test_write_fast_saturates)
+       ]);
       ("validation",
        [ ("add rejects negative amounts", `Quick, test_add_rejects_negative) ])
     ]

@@ -107,8 +107,8 @@ let test_hosted_kcounter_space_budget () =
   let after = live () in
   ignore (Sys.opaque_identity (t, specs, metrics));
   let bytes = (after - before) * (Sys.word_size / 8) / count in
-  if bytes > 1_700 then
-    Alcotest.failf "hosted k-counter holds %d B live, budget 1700 B" bytes
+  if bytes > 1_500 then
+    Alcotest.failf "hosted k-counter holds %d B live, budget 1500 B" bytes
 
 let test_table_dense_ids () =
   let specs = O.default_specs ~counters:3 ~k:2 in
