@@ -1217,5 +1217,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.16.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.17.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

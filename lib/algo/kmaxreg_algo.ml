@@ -89,17 +89,16 @@ module Make (B : Backend.Backend_intf.S) = struct
     if v >= B.cas_read t.top ~pid then begin
       let p = Zmath.floor_log ~base:t.k v + 1 in
       t.inner.Obj_intf.mr_write ~pid p;
-      raise_top t ~pid
-        (match Zmath.pow t.k p with
-         | x -> x
-         | exception Zmath.Overflow -> max_int)
+      raise_top t ~pid (Zmath.pow_sat t.k p)
     end
 
+  (* Lines 2-5. k^p saturates at max_int: when k^p overflows, every
+     written v satisfies k^(p-1) <= v <= max_int < k^p, so max_int is
+     still within the k-envelope. *)
   let read t ~pid =
-    (* lines 2-5 *)
     match t.inner.Obj_intf.mr_read ~pid with
     | 0 -> 0
-    | p -> Zmath.pow t.k p
+    | p -> Zmath.pow_sat t.k p
 
   (* Validated-cache read over the inner heap's watermark; same
      hit/miss protocol as Kcounter_algo.read_fast. Requires [pid] to be

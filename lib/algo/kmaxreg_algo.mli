@@ -53,8 +53,10 @@ module Make (B : Backend.Backend_intf.S) : sig
       @raise Invalid_argument as {!write}. *)
 
   val read : t -> pid:int -> int
-  (** 0 or a power of [k]; may exceed [m - 1] (the relaxed
-      specification only requires [x <= v*k]). *)
+  (** 0 or a power of [k], saturated at [max_int] where that power
+      overflows (still within the envelope, as every value is at most
+      [max_int]); may exceed [m - 1] (the relaxed specification only
+      requires [x <= v*k]). *)
 
   val read_fast : t -> pid:int -> int
   (** Validated-cache read over the default inner heap's modification

@@ -1,14 +1,15 @@
-(* The hardware instantiation of Backend_intf.S: array primitives are
-   contiguous Flat blocks (C11 atomics over unboxed words — see
-   flat.ml) laid out for memory-level parallelism: multi-writer
-   register arrays at stride 1 (sibling switches share cache lines, so
-   tree walks and unrolled scans issue independent line fetches),
-   single-writer slots and packed announcements at one-slot-per-line
-   stride (no false sharing between owning processes, still one block
-   to scan), and the switch sequence as stride-1 chunks behind a
-   growable directory. Scalar cells stay padded OCaml 5 [Atomic]s;
-   announcements are packed into single immediate words (Packed) so
-   the announcement/helping paths stay allocation-free.
+(* The hardware instantiation of Backend_intf.S. Every array primitive
+   is a contiguous Flat block (C11 atomics over unboxed words — see
+   flat.ml), and one rule lays them all out: slots are stride 1 unless
+   distinct pids write distinct slots (single-writer arrays with
+   [n > 1]), which get one slot per cache line. So register arrays and
+   the switch sequence's chunks are stride 1 (tree siblings and
+   neighbouring switches share a line, and walks and unrolled scans
+   issue independent line fetches), while single-writer slots and
+   announcements are strided (no false sharing between owning
+   processes, still one block to scan). Scalar cells stay padded OCaml
+   5 [Atomic]s; announcements are packed into single immediate words
+   (Packed) so the announcement/helping paths stay allocation-free.
 
    Step accounting is opt-in: a counting context keeps one padded
    per-pid slot and every primitive bumps the caller's slot (single
@@ -56,103 +57,78 @@ let write r ~pid v =
   bump r.r_ctx pid;
   Atomic.set r.cell v
 
-(* Multi-writer register arrays pick their layout by size.
+(* Multi-writer register arrays are one contiguous Flat block at
+   stride 1, at every length: slot [i] is word [i], so siblings in a
+   tree layout share a cache line, an unrolled scan issues independent
+   line fetches, and [reg_prefetch] is a real prefetch. Adjacent slots
+   can false-share on writes, which is safe even for small trees: reg
+   arrays back Algorithm 2's switch heap, whose switches are rarely
+   written, because the futile-write filter (Kmaxreg_algo.write_fast)
+   skips the heap walk of every covered write and readers serve the
+   validated cache (EXPERIMENTS.md, "One array layout", has the traced
+   hit ratio). A small heap is cache resident whatever its layout, so
+   padding each slot onto its own line would buy nothing but space:
+   136 B per switch instead of 8.
 
-   At or above [flat_threshold] slots they are one contiguous Flat
-   block, stride 1: slot [i] is word [i], so siblings in a tree layout
-   share a cache line and an unrolled scan issues independent line
-   fetches — the memory-level-parallelism layout. Adjacent slots can
-   false-share on writes; we take that trade because reg arrays back
-   the switch tree, whose switches are written at most a handful of
-   times but read on every walk.
-
-   Below the threshold the array is boxed [Padded.atomic]s — one
-   padded cell per slot. A small array is cache-resident whatever its
-   layout, so the flat block's density and load independence buy
-   nothing there, while the padding removes even the residual write
-   false-sharing between adjacent switches; the boxed walk's pointer
-   chase only starts to lose once the working set outgrows a couple of
-   cache lines (the BENCH mlp sweep quantifies the crossover). The
-   threshold is deliberately far below the mlp cells' heap sizes so
-   large trees always get the flat layout.
-
-   [version] is the array's monotone modification watermark: bumped
+   [ra_version] is the array's monotone modification watermark: bumped
    with a fetch&add *after* each write lands (the signature's ordering
    contract — a write a reader hasn't seen the bump of belongs to an
    operation that hasn't returned). Padded so validation loads by
    readers never contend with the data cells. *)
-let flat_threshold = 256
-
-type reg_cells =
-  | Boxed of int Atomic.t array  (* small: padded box per slot *)
-  | Flat_cells of Flat.t  (* large: one contiguous block, stride 1 *)
-
-type reg_array = {
-  ra_ctx : ctx;
-  cells : reg_cells;
-  ra_version : int Atomic.t;
-}
+type reg_array = { ra_ctx : ctx; cells : Flat.t; ra_version : int Atomic.t }
 
 let reg_array c ?name:_ ~len ~init () =
   if len < 0 then invalid_arg "Atomic_backend.reg_array: negative length";
-  let cells =
-    if len >= flat_threshold then Flat_cells (Flat.make len init)
-    else Boxed (Padded.atomic_array len init)
-  in
-  { ra_ctx = c; cells; ra_version = Padded.atomic 0 }
+  { ra_ctx = c; cells = Flat.make len init; ra_version = Padded.atomic 0 }
 
 let reg_get a ~pid i =
   bump a.ra_ctx pid;
-  match a.cells with
-  | Flat_cells f -> Flat.get f i
-  | Boxed b -> Atomic.get b.(i)
+  Flat.get a.cells i
 
 let reg_set a ~pid i v =
   bump a.ra_ctx pid;
-  (match a.cells with
-  | Flat_cells f -> Flat.set f i v
-  | Boxed b -> Atomic.set b.(i) v);
+  Flat.set a.cells i v;
   ignore (Atomic.fetch_and_add a.ra_version 1)
 
 let reg_array_version a ~pid =
   bump a.ra_ctx pid;
   Atomic.get a.ra_version
 
-(* Prefetching a boxed slot would need the pointer load the hint is
-   supposed to hide, so the hint is only real on the flat layout. *)
-let reg_prefetch a i =
-  match a.cells with
-  | Flat_cells f -> Flat.prefetch f i
-  | Boxed _ -> ()
+let reg_prefetch a i = Flat.prefetch a.cells i
 
-(* Single-writer slots are written concurrently by distinct pids, so
-   stride them one cache line apart inside one Flat block: no false
-   sharing on writes, yet a collect still walks one contiguous block
-   with index arithmetic (no per-slot pointer dereference) and its
-   unrolled loads issue in parallel. No version word — the signature
-   has no swmr watermark, so the old reg_array-backed implementation
-   paid a pure-overhead fetch&add on every write. *)
-let swmr_stride = Padded.padding_words + 1
+(* Per-pid slot arrays: single-writer registers and announcements.
+   Slot [i] is written only by process [i], so distinct pids write
+   distinct slots; with [n > 1] they are strided one cache line apart
+   inside one Flat block: no false sharing on writes, yet a collect or
+   a helping scan still walks one contiguous block with index
+   arithmetic (no per-slot pointer dereference) and its unrolled loads
+   issue in parallel. With one process there is no other writer to
+   keep off the line, and slot 0 sits at offset 0 whatever the stride,
+   so the block is one word. No version word — the signature has no
+   watermark for these arrays. *)
+let slot_stride = Padded.padding_words + 1
 
-type swmr_array = { sw_ctx : ctx; sw_cells : Flat.t }
+type slots = { sl_ctx : ctx; sl_cells : Flat.t }
 
-let swmr_array c ?name:_ ~n ~init () =
-  if n < 1 then invalid_arg "Atomic_backend.swmr_array: n < 1";
-  let cells = Flat.make (n * swmr_stride) 0 in
-  for i = 0 to n - 1 do
-    Flat.set cells (i * swmr_stride) init
-  done;
-  { sw_ctx = c; sw_cells = cells }
+let make_slots c ~what ~n init =
+  if n < 1 then invalid_arg ("Atomic_backend." ^ what ^ ": n < 1");
+  let len = if n = 1 then 1 else n * slot_stride in
+  { sl_ctx = c; sl_cells = Flat.make len init }
 
-let swmr_read a ~pid i =
-  bump a.sw_ctx pid;
-  Flat.get a.sw_cells (i * swmr_stride)
+let[@inline] slot_load a ~pid i =
+  bump a.sl_ctx pid;
+  Flat.get a.sl_cells (i * slot_stride)
 
-let swmr_write a ~pid v =
-  bump a.sw_ctx pid;
-  Flat.set a.sw_cells (pid * swmr_stride) v
+let[@inline] slot_store a ~pid v =
+  bump a.sl_ctx pid;
+  Flat.set a.sl_cells (pid * slot_stride) v
 
-let swmr_prefetch a i = Flat.prefetch a.sw_cells (i * swmr_stride)
+type swmr_array = slots
+
+let swmr_array c ?name:_ ~n ~init () = make_slots c ~what:"swmr_array" ~n init
+let swmr_read = slot_load
+let swmr_write = slot_store
+let swmr_prefetch a i = Flat.prefetch a.sl_cells (i * slot_stride)
 
 (* ------------------------------------------------------------------ *)
 (* Test&set switch sequences                                           *)
@@ -276,34 +252,19 @@ let compare_and_set r ~pid ~expect ~value =
 (* Announcements: Packed single-word atomics                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One Packed word per process, cache-line strided in a single Flat
-   block (announcements are single-writer like swmr slots): the
-   helping scan's unrolled loads walk one block with independent line
-   fetches instead of chasing a boxed Atomic per process. With one
-   process there is no other writer to keep off the line, and slot 0
-   sits at offset 0 whatever the stride, so the block is one word. *)
-type ann_array = { an_ctx : ctx; an_cells : Flat.t }
+(* One Packed immediate word per process (so announce and load never
+   allocate), in the per-pid slot layout above. *)
+type ann_array = slots
 
 type ann = int
 
 let ann_max_value = Packed.max_value
 
-let ann_stride = Padded.padding_words + 1
-
 let ann_array c ?name:_ ~n () =
-  if n < 1 then invalid_arg "Atomic_backend.ann_array: n < 1";
-  let zero = Packed.pack ~value:0 ~sn:0 in
-  let cells = Flat.make (if n = 1 then 1 else n * ann_stride) zero in
-  { an_ctx = c; an_cells = cells }
+  make_slots c ~what:"ann_array" ~n (Packed.pack ~value:0 ~sn:0)
 
-let announce a ~pid ~value ~sn =
-  bump a.an_ctx pid;
-  Flat.set a.an_cells (pid * ann_stride) (Packed.pack ~value ~sn)
-
-let ann_load a ~pid i =
-  bump a.an_ctx pid;
-  Flat.get a.an_cells (i * ann_stride)
-
+let announce a ~pid ~value ~sn = slot_store a ~pid (Packed.pack ~value ~sn)
+let ann_load = slot_load
 let ann_value = Packed.value
 let ann_sn = Packed.sn
 let sn_succ sn = (sn + 1) land Packed.sn_mask

@@ -9,10 +9,10 @@
     written concurrently by distinct processes (space those out — see
     [Atomic_backend]'s stride-16 single-writer layouts).
 
-    All operations are allocation-free. Indices are not bounds-checked
-    by the atomic stubs' callers' contract: passing [i] outside
-    [0 .. length t - 1] to any operation — {!prefetch} included, as
-    it performs a real (discarded) load — is undefined behaviour. *)
+    All operations are allocation-free. Indices are not bounds-checked:
+    passing [i] outside [0 .. length t - 1] to {!get}, {!set},
+    {!compare_and_set} or {!fetch_add} is undefined behaviour.
+    {!prefetch} is only a hint and tolerates any index. *)
 
 type t
 

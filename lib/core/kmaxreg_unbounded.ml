@@ -9,10 +9,11 @@ let write t ~pid v =
   if v > 0 then
     Maxreg.Unbounded_maxreg.write t.inner ~pid (Zmath.floor_log ~base:t.k v + 1)
 
+(* Saturates at max_int like Kmaxreg_algo.read. *)
 let read t ~pid =
   match Maxreg.Unbounded_maxreg.read t.inner ~pid with
   | 0 -> 0
-  | p -> Zmath.pow t.k p
+  | p -> Zmath.pow_sat t.k p
 
 let k t = t.k
 

@@ -18,7 +18,8 @@ val write : t -> pid:int -> int -> unit
     [2^61 - 1] are supported. Writing 0 is a no-op. *)
 
 val read : t -> pid:int -> int
-(** In-fiber. Returns 0 or a power of [k]. *)
+(** In-fiber. Returns 0 or a power of [k], saturated at [max_int]
+    where that power overflows. *)
 
 val k : t -> int
 

@@ -14,7 +14,7 @@ val create : m:int -> k:int -> unit -> t
 (** @raise Invalid_argument if [k < 2] or [m < 2]. *)
 
 val write : t -> int -> unit
-(** {!Algo.Kmaxreg_algo.Make.write_fast}: a write the register already
+(** {!Atomic_algo.Kmaxreg.write_fast}: a write the register already
     covers costs one atomic load and leaves the switch heap and the
     {!read_fast} cache untouched.
     @raise Invalid_argument if the value is outside [0 .. m-1]. *)

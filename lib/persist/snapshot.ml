@@ -101,12 +101,7 @@ let write ~dir ~wal_index entries =
      (try Unix.unlink tmp with Unix.Unix_error _ -> ());
      fail e);
   Unix.rename tmp final;
-  (* Persist the rename; best-effort like the WAL's rotation. *)
-  (match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dfd ->
-    (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-    Unix.close dfd)
+  Wal.fsync_dir dir
 
 let load ~dir =
   match read_whole (path dir) with

@@ -81,6 +81,11 @@ val truncate_upto : t -> int -> unit
     [truncations] stay as they were, and [fsync_errors] counts the
     failure. *)
 
+val fsync_dir : string -> unit
+(** Persist a rename inside directory [dir] (the WAL's rotation, a
+    snapshot's install) by fsyncing the directory. Best-effort: a
+    filesystem that refuses to open or fsync a directory is ignored. *)
+
 val stats : t -> stats
 
 val close : t -> unit

@@ -35,6 +35,8 @@ let pow k e =
 
 let pow_opt k e = match pow k e with v -> Some v | exception Overflow -> None
 
+let pow_sat k e = match pow k e with v -> v | exception Overflow -> max_int
+
 (* The loop takes every free variable as a parameter: a nested [let rec]
    capturing [base]/[lim] would allocate a closure per call. [lim] is
    [v / base], computed once by the caller rather than divided out on

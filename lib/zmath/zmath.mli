@@ -13,6 +13,10 @@ val pow : int -> int -> int
 val pow_opt : int -> int -> int option
 (** Like {!pow} but [None] on overflow. *)
 
+val pow_sat : int -> int -> int
+(** [pow_sat k e] is [min (k^e) max_int]: like {!pow}, but saturating
+    at [max_int] instead of raising. *)
+
 val mul_opt : int -> int -> int option
 (** Overflow-checked product of non-negative ints; [None] on overflow. *)
 

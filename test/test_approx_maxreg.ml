@@ -276,6 +276,24 @@ let test_unbounded_sublogarithmic_steps () =
     (Printf.sprintf "steps %d sub-logarithmic in v" worst)
     true (worst <= 20)
 
+(* k^p overflows for p = floor(log_1000 2^60) + 1 = 7: the read
+   saturates at max_int, which is still within k of the write. *)
+let test_unbounded_read_saturates () =
+  let k = 1000 in
+  let exec = Sim.Exec.create ~n:1 () in
+  let mr = Approx.Kmaxreg_unbounded.create exec ~k () in
+  let x = ref (-1) in
+  let program pid =
+    Approx.Kmaxreg_unbounded.write mr ~pid (1 lsl 60);
+    x := Approx.Kmaxreg_unbounded.read mr ~pid
+  in
+  ignore
+    (Sim.Exec.run exec ~programs:[| program |] ~policy:Sim.Schedule.Round_robin
+       ());
+  check vi "read saturates at max_int" max_int !x;
+  Alcotest.(check bool) "saturated read is within k" true
+    (Zmath.within_k ~k ~exact:(1 lsl 60) !x)
+
 let test_unbounded_linearizable () =
   let k = 3 in
   for seed = 0 to 19 do
@@ -321,6 +339,7 @@ let suite =
     ("unbounded sequential", `Quick, test_unbounded_sequential);
     ("unbounded sublogarithmic steps", `Quick,
      test_unbounded_sublogarithmic_steps);
+    ("unbounded read saturates", `Quick, test_unbounded_read_saturates);
     ("unbounded linearizable", `Quick, test_unbounded_linearizable);
     ("create validation", `Quick, test_create_validation);
     QCheck_alcotest.to_alcotest prop_concurrent_envelope ]

@@ -434,7 +434,8 @@ let test_futile_write_no_alloc () =
     (AM.read mr ~pid:0)
 
 (* When k^p overflows, the threshold saturates at max_int instead of
-   raising, and still filters: every writable value is below it. *)
+   raising, and still filters: every writable value is below it. The
+   read saturates the same way, inside the k-envelope. *)
 let test_write_fast_saturates () =
   let ctx = Backend.Atomic_backend.ctx ~count_steps:1 () in
   let mr = AM.create ctx ~m:max_int ~k:1000 () in
@@ -442,7 +443,11 @@ let test_write_fast_saturates () =
   let before = Backend.Atomic_backend.steps ctx ~pid:0 in
   AM.write_fast mr ~pid:0 (max_int / 2);
   check Alcotest.int "write under the saturated threshold is filtered" 1
-    (Backend.Atomic_backend.steps ctx ~pid:0 - before)
+    (Backend.Atomic_backend.steps ctx ~pid:0 - before);
+  let x = AM.read mr ~pid:0 in
+  check Alcotest.int "read saturates at max_int" max_int x;
+  Alcotest.(check bool) "saturated read is within k" true
+    (Zmath.within_k ~k:1000 ~exact:(max_int - 1) x)
 
 let test_mc_kmaxreg_wrapper () =
   let mr = Mcore.Mc_kmaxreg.create ~m:(1 lsl 20) ~k:2 () in

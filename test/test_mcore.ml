@@ -309,6 +309,17 @@ let test_kcounter_space_budget () =
   if bytes > 900 then
     Alcotest.failf "Mc_kcounter ~n:1 holds %d B live, budget 900 B" bytes
 
+(* Algorithm 2's 32-slot switch heap for m = 2^30, k = 4 is one
+   stride-1 flat block, not a padded cell per switch. *)
+let test_kmaxreg_space_budget () =
+  let bytes =
+    live_bytes_per ~count:10_000 (fun _ ->
+        Mcore.Mc_kmaxreg.create ~m:(1 lsl 30) ~k:4 ())
+  in
+  if bytes > 1100 then
+    Alcotest.failf "Mc_kmaxreg ~m:2^30 ~k:4 holds %d B live, budget 1100 B"
+      bytes
+
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation fast paths                                          *)
 (* ------------------------------------------------------------------ *)
@@ -464,6 +475,7 @@ let suite =
     ("kcounter default capacity grows", `Quick,
      test_kcounter_default_capacity_grows);
     ("kcounter space budget", `Quick, test_kcounter_space_budget);
+    ("kmaxreg space budget", `Quick, test_kmaxreg_space_budget);
     ("kcounter increment zero-alloc", `Quick, test_kcounter_increment_no_alloc);
     ("kcounter read zero-alloc", `Quick, test_kcounter_read_no_alloc);
     ("kmaxreg zero-alloc", `Quick, test_kmaxreg_no_alloc);

@@ -16,7 +16,9 @@ let test_pow_overflow () =
   Alcotest.check_raises "2^62 overflows" Zmath.Overflow (fun () ->
       ignore (Zmath.pow 2 62));
   check (Alcotest.option vi) "pow_opt overflow" None (Zmath.pow_opt 10 19);
-  check (Alcotest.option vi) "2^61 fits" (Some (1 lsl 61)) (Zmath.pow_opt 2 61)
+  check (Alcotest.option vi) "2^61 fits" (Some (1 lsl 61)) (Zmath.pow_opt 2 61);
+  check vi "pow_sat overflow saturates" max_int (Zmath.pow_sat 10 19);
+  check vi "pow_sat exact below overflow" (1 lsl 61) (Zmath.pow_sat 2 61)
 
 let test_mul_opt () =
   check (Alcotest.option vi) "small" (Some 42) (Zmath.mul_opt 6 7);

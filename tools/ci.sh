@@ -18,6 +18,13 @@ ALGO_MAKE=$(grep -rlE '_algo\.Make' lib bin bench examples \
 [ "$ALGO_MAKE" = "lib/backend/sim_algo.ml lib/mcore/atomic_algo.ml lib/smoke/backend_smoke.ml " ] \
   || { echo "lib/algo functor applied outside the instantiation modules: $ALGO_MAKE"; exit 1; }
 
+echo "== one array layout in the atomic backend =="
+# Register arrays are one stride-1 Flat block at every length; no
+# boxed per-slot layout may come back beside it.
+if grep -nE 'atomic_array|Boxed' lib/backend/atomic_backend.ml; then
+  echo "atomic_backend.ml has a second (boxed) array layout"; exit 1
+fi
+
 echo "== dune runtest (includes bench smoke) =="
 dune runtest
 
