@@ -23,8 +23,6 @@ let experiments =
     ("e11", "exhaustive interleaving exploration", Exp_exhaustive.run);
     ("backends", "functor-instantiation smoke matrix", Exp_backends.run);
     ("mc", "multicore throughput (E8)", Exp_mc.run);
-    ("perf", "benchmark pipeline -> " ^ Perf.Pipeline.default_config.out_path,
-     Exp_perf.run);
     ("bechamel", "wall-clock microbenchmarks (T1)", Bechamel_suite.run) ]
 
 let list_experiments () =

@@ -447,10 +447,6 @@ let run_bench trials warmup ops out smoke check_floor =
         trials;
         warmup_trials = warmup;
         ops_per_domain = ops;
-        (* Full runs put the scale-sweep server in its own process so
-           the 10k-connection cells don't split one RLIMIT_NOFILE
-           budget between server and loadgen. *)
-        service_scale_server_exe = Some Sys.executable_name;
         out_path = out }
   in
   if cfg.trials < 1 || cfg.warmup_trials < 0 || cfg.ops_per_domain < 1
@@ -1217,5 +1213,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.17.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.18.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

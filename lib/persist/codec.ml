@@ -56,6 +56,10 @@ let add_entry buf (name, d) =
     done
   | Delta.Max v -> Obuf.add_i64_be buf v
 
+let get_u32 b off =
+  let g i = Char.code (Bytes.unsafe_get b (off + i)) in
+  (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
+
 let get_i64 b off =
   let g i = Char.code (Bytes.unsafe_get b (off + i)) in
   (g 0 lsl 56) lor (g 1 lsl 48) lor (g 2 lsl 40) lor (g 3 lsl 32)

@@ -16,6 +16,14 @@ val add_entry : Obuf.t -> string * Delta.t -> unit
     @raise Invalid_argument on an empty/oversized name or a counter
     width outside 1..255. *)
 
+val get_u32 : Bytes.t -> int -> int
+(** The big-endian unsigned 32-bit integer at the given offset. No
+    bounds check: the caller has validated the range. *)
+
+val get_i64 : Bytes.t -> int -> int
+(** The big-endian 64-bit integer at the given offset, truncated to
+    OCaml's 63-bit [int]. No bounds check. *)
+
 val parse_entry :
   Bytes.t -> pos:int -> stop:int -> ((string * Delta.t) * int) option
 (** Parse one entry at [pos], bounded by [stop]. Returns the entry and

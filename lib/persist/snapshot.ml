@@ -21,24 +21,6 @@ let max_frame_payload = 1 lsl 20
 
 let path dir = Filename.concat dir "snapshot.dat"
 
-let get_u32 b off =
-  let g i = Char.code (Bytes.unsafe_get b (off + i)) in
-  (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
-
-let get_i64 b off =
-  let g i = Char.code (Bytes.unsafe_get b (off + i)) in
-  (g 0 lsl 56) lor (g 1 lsl 48) lor (g 2 lsl 40) lor (g 3 lsl 32)
-  lor (g 4 lsl 24) lor (g 5 lsl 16) lor (g 6 lsl 8) lor g 7
-
-let rec write_all fd b pos len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd b pos len
-      with Unix.Unix_error (EINTR, _, _) -> 0
-    in
-    write_all fd b (pos + n) (len - n)
-  end
-
 let read_whole p =
   match Unix.openfile p [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error (ENOENT, _, _) -> None
@@ -92,7 +74,7 @@ let write ~dir ~wal_index entries =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise e
   in
-  (match write_all fd (Obuf.bytes buf) 0 (Obuf.length buf) with
+  (match Wal.write_all fd (Obuf.bytes buf) 0 (Obuf.length buf) with
    | () -> ()
    | exception e -> fail e);
   (match Unix.fsync fd with
@@ -111,15 +93,15 @@ let load ~dir =
     if len < header_len || Bytes.sub_string b 0 (String.length magic) <> magic
     then None
     else begin
-      let wal_index = get_i64 b 8 in
-      let count = get_u32 b 16 in
+      let wal_index = Codec.get_i64 b 8 in
+      let count = Codec.get_u32 b 16 in
       let rec go pos remaining acc =
         if remaining = 0 then
           if pos = len then Some (List.rev acc) else None
         else if pos + frame_header_len > len then None
         else begin
-          let plen = get_u32 b pos in
-          let crc = get_u32 b (pos + 4) in
+          let plen = Codec.get_u32 b pos in
+          let crc = Codec.get_u32 b (pos + 4) in
           let payload = pos + frame_header_len in
           if plen < 3 || plen > max_frame_payload || payload + plen > len then
             None

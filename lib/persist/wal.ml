@@ -90,15 +90,6 @@ let max_frame_payload = 1 lsl 20
 
 let wal_path dir = Filename.concat dir "wal.log"
 
-let get_u32 b off =
-  let g i = Char.code (Bytes.unsafe_get b (off + i)) in
-  (g 0 lsl 24) lor (g 1 lsl 16) lor (g 2 lsl 8) lor g 3
-
-let get_i64 b off =
-  let g i = Char.code (Bytes.unsafe_get b (off + i)) in
-  (g 0 lsl 56) lor (g 1 lsl 48) lor (g 2 lsl 40) lor (g 3 lsl 32)
-  lor (g 4 lsl 24) lor (g 5 lsl 16) lor (g 6 lsl 8) lor g 7
-
 let rec write_all fd b pos len =
   if len > 0 then begin
     let n =
@@ -139,8 +130,8 @@ let walk_frames b =
     if pos = len then (List.rev acc, count, pos, false)
     else if pos + frame_header_len > len then (List.rev acc, count, pos, true)
     else begin
-      let plen = get_u32 b pos in
-      let crc = get_u32 b (pos + 4) in
+      let plen = Codec.get_u32 b pos in
+      let crc = Codec.get_u32 b (pos + 4) in
       let payload = pos + frame_header_len in
       if plen < 3 || plen > max_frame_payload || payload + plen > len then
         (List.rev acc, count, pos, true)
@@ -172,7 +163,7 @@ let scan ~dir =
         s_valid_len = 0;
         s_torn = Bytes.length b > 0 }
     else begin
-      let base = get_i64 b (String.length magic) in
+      let base = Codec.get_i64 b (String.length magic) in
       let entries, count, valid_len, torn = walk_frames b in
       { s_entries = entries;
         s_base = base;
@@ -342,7 +333,7 @@ let truncate_upto t idx =
           let rec cut_off pos i =
             if i >= idx || pos + frame_header_len > len then pos
             else begin
-              let plen = get_u32 b pos in
+              let plen = Codec.get_u32 b pos in
               if plen < 3 || pos + frame_header_len + plen > len then pos
               else cut_off (pos + frame_header_len + plen) (i + 1)
             end

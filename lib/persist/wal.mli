@@ -81,6 +81,11 @@ val truncate_upto : t -> int -> unit
     [truncations] stay as they were, and [fsync_errors] counts the
     failure. *)
 
+val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
+(** [write_all fd b pos len] writes all [len] bytes of [b] from [pos],
+    retrying short writes and [EINTR]; other write errors propagate.
+    The WAL's own write path, shared with the snapshot writer. *)
+
 val fsync_dir : string -> unit
 (** Persist a rename inside directory [dir] (the WAL's rotation, a
     snapshot's install) by fsyncing the directory. Best-effort: a

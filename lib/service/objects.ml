@@ -491,25 +491,6 @@ let recover o (d : Persist.Delta.t) =
 (* Operations (owning shard only)                                      *)
 (* ------------------------------------------------------------------ *)
 
-let inc o ~pid =
-  match o.impl with
-  | I_kcounter (c, exact, _) ->
-    Mcore.Mc_kcounter.increment c ~pid;
-    incr exact;
-    o.o_stats.incs <- o.o_stats.incs + 1;
-    mark_dirty o;
-    refresh_repl o;
-    Ok 0
-  | I_faa c ->
-    Mcore.Mc_baselines.Faa_counter.increment c;
-    o.o_stats.incs <- o.o_stats.incs + 1;
-    mark_dirty o;
-    refresh_repl o;
-    Ok 0
-  | I_kmaxreg _ | I_casmax _ ->
-    o.o_stats.rejects <- o.o_stats.rejects + 1;
-    Error ()
-
 (* [lower_exact]: Algorithm 2 rounds up to a power of k, so a max
    register must additionally serve [>= exact]; Algorithm 1 may round
    either way within [exact/k .. exact*k]. *)

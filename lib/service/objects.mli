@@ -255,19 +255,10 @@ val recover : obj -> Persist.Delta.t -> bool
 
 (** {2 Operations}
 
-    Called only by the owning shard ([pid] = the object's shard).
-    Each records its op count — and for reads on approximate kinds,
-    the accuracy self-check — into the object's {!Metrics.obj}. *)
-
-val inc : obj -> pid:int -> (int, unit) result
-(** [Ok 0], or [Error ()] for a non-counter object. *)
-
-val read : obj -> pid:int -> int
-(** The served value (any kind). Approximate kinds take the validated
-    watermark-cache fast path ([read_fast]); the accuracy self-check
-    remains exact because the owning shard is the only mutator, so an
-    unchanged watermark implies a fresh full read would return the
-    cached value. *)
+    Called only by the owning shard ([pid] = the object's shard); the
+    op count lands in the object's {!Metrics.obj}. Increments go
+    through {!defer}/{!apply_pending} and reads through {!batch_read},
+    which also runs the accuracy self-check on approximate kinds. *)
 
 val write : obj -> pid:int -> int -> (int, unit) result
 (** [Ok 0] for an in-range max-register write; [Error ()] for a

@@ -91,6 +91,19 @@ let test_codec_roundtrip =
       in
       entries_equal entries parsed && expected_len = stop)
 
+(* The one copy of the frame-header readers the WAL scan, its
+   truncation and the snapshot loader share. *)
+let test_codec_byte_helpers =
+  QCheck.Test.make ~count:500 ~name:"codec byte helpers read Obuf writes"
+    QCheck.(pair (int_bound 0xFFFF_FFFF) int)
+    (fun (u, i) ->
+      let buf = O.create () in
+      O.add_u8 buf 0xAB;
+      O.add_i32_be buf u;
+      O.add_i64_be buf i;
+      let b = O.bytes buf in
+      Persist.Codec.get_u32 b 1 = u && Persist.Codec.get_i64 b 5 = i)
+
 (* ------------------------------------------------------------------ *)
 (* WAL roundtrip and torn tail                                         *)
 (* ------------------------------------------------------------------ *)
@@ -749,7 +762,9 @@ let test_acks_follow_wal_flush () =
 
 let () =
   Alcotest.run "persist"
-    [ ("codec", [ QCheck_alcotest.to_alcotest test_codec_roundtrip ]);
+    [ ("codec",
+       List.map QCheck_alcotest.to_alcotest
+         [ test_codec_roundtrip; test_codec_byte_helpers ]);
       ("wal",
        [ QCheck_alcotest.to_alcotest test_wal_roundtrip;
          QCheck_alcotest.to_alcotest test_wal_torn_tail;

@@ -794,6 +794,143 @@ let test_cluster_loadgen_failover () =
         (r.Service.Loadgen.reconnects > 0))
 
 (* ------------------------------------------------------------------ *)
+(* Partition heal: digest anti-entropy repairs exactly the divergence  *)
+(* ------------------------------------------------------------------ *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Every hosted copy of every k-counter holds the sum of its hosts' own
+   contributions: exact quiescent convergence, not envelope
+   membership. *)
+let counters_converged servers =
+  let copies = ref [] in
+  Array.iter
+    (Option.iter (fun srv ->
+         Service.Objects.iter
+           (fun o ->
+             let { Service.Objects.name; kind } = Service.Objects.spec o in
+             match kind with
+             | Service.Objects.Kcounter _ ->
+               copies :=
+                 ( name,
+                   Service.Objects.own_total o,
+                   Service.Objects.known o )
+                 :: !copies
+             | _ -> ())
+           (Srv.table srv)))
+    servers;
+  !copies <> []
+  && List.for_all
+       (fun (name, _, known) ->
+         known
+         = List.fold_left
+             (fun acc (n, own, _) -> if n = name then acc + own else acc)
+             0 !copies)
+       !copies
+
+let await_converged servers =
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec go () =
+    counters_converged servers
+    || Unix.gettimeofday () < deadline
+       &&
+       (Unix.sleepf 0.05;
+        go ())
+  in
+  go ()
+
+let sum_metric servers f =
+  Array.fold_left
+    (fun acc s ->
+      match s with None -> acc | Some srv -> acc + f (Srv.metrics srv))
+    0 servers
+
+(* One heal cell: populate c0..c3 and converge; stop node 1 cleanly
+   (it snapshots on stop) and drive the first [diverged] counters
+   without it; restart it on its data dir and let the digest exchange
+   heal it. Returns (healed, repaired objects, heal bytes) over the
+   rejoin-to-convergence window. *)
+let heal_cell ~diverged =
+  let nodes = 3 and replicas = 2 in
+  let paths = List.init nodes (fun _ -> sock_path ()) in
+  let data_root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "approx_heal_test_%d_%d" (Unix.getpid ()) diverged)
+  in
+  if Sys.file_exists data_root then rm_rf data_root;
+  Sys.mkdir data_root 0o755;
+  let start node_id =
+    let data_dir = Filename.concat data_root (Printf.sprintf "node%d" node_id) in
+    if not (Sys.file_exists data_dir) then Sys.mkdir data_dir 0o755;
+    Srv.start
+      ~config:
+        { (cluster_config ~node_id ~nodes ~replicas ~paths) with
+          data_dir = Some data_dir }
+      ~listen:(`Unix (List.nth paths node_id)) ()
+  in
+  let servers = Array.init nodes (fun i -> Some (start i)) in
+  let load targets =
+    Service.Loadgen.run
+      ~addrs:(List.map (fun p -> Unix.ADDR_UNIX p) paths)
+      { Service.Loadgen.default_config with
+        connections = 4;
+        ops_per_connection = 500;
+        pipeline = 8;
+        read_permille = 100;
+        add_permille = 100;
+        add_delta = 16;
+        seed = 42;
+        targets;
+        replicas;
+        max_reconnects = 4 }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (Option.iter Srv.stop) servers;
+      rm_rf data_root)
+    (fun () ->
+      let all = List.init 4 (Printf.sprintf "c%d") in
+      check Alcotest.int "phase A: no op errors" 0
+        (load all).Service.Loadgen.errors;
+      Alcotest.(check bool) "phase A converges" true (await_converged servers);
+      Option.iter Srv.stop servers.(1);
+      servers.(1) <- None;
+      check Alcotest.int "partition: no op errors" 0
+        (load (List.filteri (fun i _ -> i < diverged) all))
+          .Service.Loadgen.errors;
+      quiesce ();
+      let bytes () = sum_metric servers Service.Metrics.gossip_bytes_sent in
+      let repairs () =
+        sum_metric servers Service.Metrics.gossip_repair_objects
+      in
+      let bytes0 = bytes () and repairs0 = repairs () in
+      servers.(1) <- Some (start 1);
+      let healed = await_converged servers in
+      (healed, repairs () - repairs0, bytes () - bytes0))
+
+let test_partition_heal () =
+  let cell d =
+    let healed, repaired, heal_bytes = heal_cell ~diverged:d in
+    Alcotest.(check bool) (Printf.sprintf "d = %d: the rejoin heals" d) true
+      healed;
+    check Alcotest.int
+      (Printf.sprintf "d = %d: one repair per diverged counter" d)
+      d repaired;
+    heal_bytes
+  in
+  let bytes1 = cell 1 in
+  let bytes4 = cell 4 in
+  Alcotest.(check bool)
+    (Printf.sprintf "heal bytes grow with the divergence (%d B at d = 1, \
+                     %d B at d = 4)" bytes1 bytes4)
+    true (bytes4 > bytes1)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "service_cluster"
@@ -836,4 +973,5 @@ let () =
          ("node kill and blank restart", `Quick,
           test_cluster_node_kill_and_restart);
          ("loadgen fails over a dead node", `Quick,
-          test_cluster_loadgen_failover) ]) ]
+          test_cluster_loadgen_failover);
+         ("partition heal", `Quick, test_partition_heal) ]) ]
