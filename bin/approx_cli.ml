@@ -869,7 +869,7 @@ let parse_node_addrs s =
 
 (* The first ["key": N] in a JSON blob — enough to lift a server-
    stanza aggregate out of STATS without a parser. The server stanza
-   precedes the per-loop records in [Metrics.to_json], so the first
+   precedes the per-loop records in [Metrics.add_json], so the first
    occurrence of a duplicated key is the cross-loop sum. *)
 let scan_json_int json key =
   let pat = Printf.sprintf "\"%s\":" key in
@@ -961,8 +961,7 @@ let run_loadgen unix tcp connections ops pipeline read_permille mix add_delta
       (* The name-intern counters live server-side: fetch STATS once
          after the run so the JSON record carries the cache's hit rate
          next to the client-side throughput it helped produce. -1 =
-         the post-run fetch failed (server already gone, or the
-         registry outgrew one STATS response). *)
+         the post-run fetch failed (server already gone). *)
       let scrape =
         match Service.Client.connect (List.hd addrs) with
         | exception Unix.Unix_error _ -> fun _ -> -1
@@ -1158,9 +1157,8 @@ let run_stats unix tcp =
       print_string json;
       0
     | exception Failure _ ->
-      (* The server refuses a registry too large for one response. *)
       Service.Client.close client;
-      prerr_endline "stats: the server refused STATS (registry too large)";
+      prerr_endline "stats: the server refused STATS";
       1)
 
 let stats_cmd =

@@ -92,3 +92,45 @@ let parse_entry b ~pos ~stop =
       | _ -> None
     end
   end
+
+(* ------------------------------------------------------------------ *)
+(* Record frames                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The WAL and the snapshot file frame each entry alike: a big-endian
+   u32 payload length, the payload's CRC-32, then the payload (one
+   entry). *)
+let frame_header_len = 8
+let max_frame_payload = 1 lsl 20
+
+(* The CRC slot is reserved, the entry encoded in place behind it and
+   the checksum patched in: no staging copy, no allocation once the
+   buffer is warm. *)
+let add_frame buf entry =
+  let plen = entry_len entry in
+  Obuf.add_i32_be buf plen;
+  let crc_off = Obuf.length buf in
+  Obuf.add_i32_be buf 0;
+  let payload_off = Obuf.length buf in
+  add_entry buf entry;
+  let b = Obuf.bytes buf in
+  let crc = crc32 b ~pos:payload_off ~len:plen in
+  Bytes.unsafe_set b crc_off (Char.unsafe_chr ((crc lsr 24) land 0xff));
+  Bytes.unsafe_set b (crc_off + 1) (Char.unsafe_chr ((crc lsr 16) land 0xff));
+  Bytes.unsafe_set b (crc_off + 2) (Char.unsafe_chr ((crc lsr 8) land 0xff));
+  Bytes.unsafe_set b (crc_off + 3) (Char.unsafe_chr (crc land 0xff));
+  frame_header_len + plen
+
+let parse_frame b ~pos ~stop =
+  if pos + frame_header_len > stop then None
+  else begin
+    let plen = get_u32 b pos in
+    let crc = get_u32 b (pos + 4) in
+    let payload = pos + frame_header_len in
+    if plen < 3 || plen > max_frame_payload || payload + plen > stop then None
+    else if crc32 b ~pos:payload ~len:plen <> crc then None
+    else
+      match parse_entry b ~pos:payload ~stop:(payload + plen) with
+      | Some (_, fin) as r when fin = payload + plen -> r
+      | _ -> None
+  end

@@ -11,7 +11,10 @@ val write : dir:string -> wal_index:int -> (string * Delta.t) list -> unit
     caller must capture that index {e before} exporting the entries).
     Atomic: a crash mid-write leaves the previous snapshot intact.
     @raise Unix.Unix_error if writing or fsyncing the temp file fails;
-    the temp file is removed and the previous snapshot stays. *)
+    the temp file is removed and the previous snapshot stays. Also
+    raised if the directory fsync after the rename fails: the new
+    snapshot is in place then, but its install may not survive a
+    power loss, so the caller must not yet drop the log it covers. *)
 
 val load : dir:string -> ((string * Delta.t) list * int) option
 (** The snapshot entries and their WAL index, or [None] if there is no

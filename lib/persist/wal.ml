@@ -85,8 +85,6 @@ type t = {
 
 let magic = "APXWAL01"
 let header_len = 16
-let frame_header_len = 8
-let max_frame_payload = 1 lsl 20
 
 let wal_path dir = Filename.concat dir "wal.log"
 
@@ -99,8 +97,11 @@ let rec write_all fd b pos len =
     write_all fd b (pos + n) (len - n)
   end
 
-(* Read a whole file into fresh bytes; [None] if it does not exist. *)
-let read_whole path =
+(* Read a whole file into fresh bytes; [None] if it does not exist.
+   A file that shrinks under the read ends it early: [`Prefix] returns
+   what was read (the WAL scan cuts the rest as a torn tail),
+   [`Reject] returns [None] (a snapshot is whole or absent). *)
+let read_whole ~short path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error (ENOENT, _, _) -> None
   | fd ->
@@ -112,42 +113,35 @@ let read_whole path =
         let rec go pos =
           if pos < size then
             match Unix.read fd b pos (size - pos) with
-            | 0 -> pos  (* shrank under us; treat the rest as torn *)
+            | 0 -> pos
             | n -> go (pos + n)
             | exception Unix.Unix_error (EINTR, _, _) -> go pos
           else pos
         in
         let got = go 0 in
-        Some (if got = size then b else Bytes.sub b 0 got))
+        if got = size then Some b
+        else
+          match short with
+          | `Prefix -> Some (Bytes.sub b 0 got)
+          | `Reject -> None)
 
 (* Walk the frames of [b] starting after the header. Returns the
    decoded entries in append order, the count of good frames, the
    offset of the first bad byte (= valid length) and whether anything
-   trailing was cut. Shared by {!scan} and {!truncate_upto}. *)
+   trailing was cut. *)
 let walk_frames b =
   let len = Bytes.length b in
   let rec go pos count acc =
     if pos = len then (List.rev acc, count, pos, false)
-    else if pos + frame_header_len > len then (List.rev acc, count, pos, true)
-    else begin
-      let plen = Codec.get_u32 b pos in
-      let crc = Codec.get_u32 b (pos + 4) in
-      let payload = pos + frame_header_len in
-      if plen < 3 || plen > max_frame_payload || payload + plen > len then
-        (List.rev acc, count, pos, true)
-      else if Codec.crc32 b ~pos:payload ~len:plen <> crc then
-        (List.rev acc, count, pos, true)
-      else
-        match Codec.parse_entry b ~pos:payload ~stop:(payload + plen) with
-        | Some (e, fin) when fin = payload + plen ->
-          go (payload + plen) (count + 1) (e :: acc)
-        | _ -> (List.rev acc, count, pos, true)
-    end
+    else
+      match Codec.parse_frame b ~pos ~stop:len with
+      | Some (e, next) -> go next (count + 1) (e :: acc)
+      | None -> (List.rev acc, count, pos, true)
   in
   go header_len 0 []
 
 let scan ~dir =
-  match read_whole (wal_path dir) with
+  match read_whole ~short:`Prefix (wal_path dir) with
   | None -> { s_entries = []; s_base = 0; s_next = 0; s_valid_len = 0; s_torn = false }
   | Some b ->
     if
@@ -180,14 +174,20 @@ let write_header fd ~base =
   done;
   write_all fd h 0 header_len
 
+(* Persist a rename by fsyncing its directory. A directory that cannot
+   be opened or synced (some filesystems refuse) is reported: the
+   rename has happened, but may not survive a power loss. *)
 let fsync_dir dir =
-  (* Persist the rename itself; best-effort (some filesystems refuse
-     fsync on directories). *)
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
+  | exception Unix.Unix_error (e, _, _) -> Error e
   | dfd ->
-    (try Unix.fsync dfd with Unix.Unix_error _ -> ());
-    Unix.close dfd
+    let r =
+      match Unix.fsync dfd with
+      | () -> Ok ()
+      | exception Unix.Unix_error (e, _, _) -> Error e
+    in
+    Unix.close dfd;
+    r
 
 let open_ ~dir ~fsync ~scan:s =
   (match Unix.mkdir dir 0o755 with
@@ -231,28 +231,15 @@ let open_ ~dir ~fsync ~scan:s =
     truncations = 0;
     closed = false }
 
-(* Stage one framed record. The CRC covers the payload, which is
-   encoded first and checksummed in place; the 4 CRC bytes reserved
-   before it are then patched. No allocation on the warm path. *)
+(* Stage one framed record. No allocation on the warm path. *)
 let append t entry =
   Mutex.lock t.mu;
   (if not t.closed then begin
-     let plen = Codec.entry_len entry in
-     Obuf.add_i32_be t.staging plen;
-     let crc_off = Obuf.length t.staging in
-     Obuf.add_i32_be t.staging 0;
-     let payload_off = Obuf.length t.staging in
-     Codec.add_entry t.staging entry;
-     let b = Obuf.bytes t.staging in
-     let crc = Codec.crc32 b ~pos:payload_off ~len:plen in
-     Bytes.unsafe_set b crc_off (Char.unsafe_chr ((crc lsr 24) land 0xff));
-     Bytes.unsafe_set b (crc_off + 1) (Char.unsafe_chr ((crc lsr 16) land 0xff));
-     Bytes.unsafe_set b (crc_off + 2) (Char.unsafe_chr ((crc lsr 8) land 0xff));
-     Bytes.unsafe_set b (crc_off + 3) (Char.unsafe_chr (crc land 0xff));
+     let n = Codec.add_frame t.staging entry in
      t.next <- t.next + 1;
      t.appends <- t.appends + 1;
      t.unsynced <- t.unsynced + 1;
-     t.bytes <- t.bytes + frame_header_len + plen
+     t.bytes <- t.bytes + n
    end);
   Mutex.unlock t.mu
 
@@ -324,18 +311,18 @@ let truncate_upto t idx =
       let idx = min idx t.next in
       if (not t.closed) && idx > t.base then begin
         flush_locked t;
-        match read_whole t.path with
+        match read_whole ~short:`Prefix t.path with
         | None -> ()
         | Some b ->
           (* Find the byte offset of record [idx] by walking frames we
              wrote ourselves; defensively stop at any malformed frame. *)
           let len = Bytes.length b in
           let rec cut_off pos i =
-            if i >= idx || pos + frame_header_len > len then pos
+            if i >= idx || pos + Codec.frame_header_len > len then pos
             else begin
               let plen = Codec.get_u32 b pos in
-              if plen < 3 || pos + frame_header_len + plen > len then pos
-              else cut_off (pos + frame_header_len + plen) (i + 1)
+              if plen < 3 || pos + Codec.frame_header_len + plen > len then pos
+              else cut_off (pos + Codec.frame_header_len + plen) (i + 1)
             end
           in
           let cut = cut_off header_len t.base in
@@ -366,7 +353,11 @@ let truncate_upto t idx =
           | () ->
             Unix.close tfd;
             Unix.rename tmp t.path;
-            fsync_dir t.dir;
+            (* The rename is done either way: an unsynced directory
+               entry is counted, not rolled back. *)
+            (match fsync_dir t.dir with
+             | Ok () -> ()
+             | Error _ -> t.fsync_errors <- t.fsync_errors + 1);
             Unix.close t.fd;
             let fd = Unix.openfile t.path [ Unix.O_RDWR ] 0o644 in
             ignore (Unix.lseek fd 0 Unix.SEEK_END);

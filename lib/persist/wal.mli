@@ -79,17 +79,25 @@ val truncate_upto : t -> int -> unit
     atomically rewriting the file with a new base. If the rewrite
     fails to fsync, it is discarded: the live log, its base and
     [truncations] stay as they were, and [fsync_errors] counts the
-    failure. *)
+    failure. A failed fsync of the directory after the rename also
+    counts in [fsync_errors]; the rotation stands. *)
 
 val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** [write_all fd b pos len] writes all [len] bytes of [b] from [pos],
     retrying short writes and [EINTR]; other write errors propagate.
     The WAL's own write path, shared with the snapshot writer. *)
 
-val fsync_dir : string -> unit
+val fsync_dir : string -> (unit, Unix.error) result
 (** Persist a rename inside directory [dir] (the WAL's rotation, a
-    snapshot's install) by fsyncing the directory. Best-effort: a
-    filesystem that refuses to open or fsync a directory is ignored. *)
+    snapshot's install) by fsyncing the directory. A directory that
+    cannot be opened or fsynced (some filesystems refuse) is reported
+    as [Error]; the rename stands either way. *)
+
+val read_whole : short:[ `Prefix | `Reject ] -> string -> Bytes.t option
+(** The whole file, or [None] if it does not exist. If the file
+    shrinks under the read, [`Prefix] returns the bytes read (the WAL
+    cuts the rest as a torn tail) and [`Reject] returns [None] (a
+    snapshot is whole or absent). *)
 
 val stats : t -> stats
 

@@ -62,27 +62,3 @@ let reset t =
   t.total <- 0;
   t.value_sum <- 0;
   t.value_max <- 0
-
-let to_json t =
-  let module J = Mcore.Bench_json in
-  let nonzero = ref [] in
-  for i = buckets - 1 downto 0 do
-    if t.counts.(i) > 0 then
-      nonzero :=
-        J.Obj
-          [ ("lo", J.Int (bucket_lo i));
-            ("hi", J.Int (bucket_hi i));
-            ("count", J.Int t.counts.(i)) ]
-        :: !nonzero
-  done;
-  J.Obj
-    [ ("count", J.Int t.total);
-      ("sum", J.Int t.value_sum);
-      ("mean",
-       if t.total = 0 then J.Null
-       else J.Float (float_of_int t.value_sum /. float_of_int t.total));
-      ("p50", J.Int (percentile t 0.5));
-      ("p90", J.Int (percentile t 0.9));
-      ("p99", J.Int (percentile t 0.99));
-      ("max", J.Int t.value_max);
-      ("buckets", J.List !nonzero) ]

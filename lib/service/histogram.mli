@@ -12,7 +12,7 @@
     performs zero heap allocations, so shards can call it on every
     request. A histogram is single-writer: only its owning domain may
     {!record}; any domain may read ({!count}, {!percentile},
-    {!to_json}) concurrently and observes a momentarily stale but
+    {!bucket_count}) concurrently and observes a momentarily stale but
     memory-safe snapshot. *)
 
 type t
@@ -64,7 +64,3 @@ val merge : into:t -> t -> unit
     written). *)
 
 val reset : t -> unit
-
-val to_json : t -> Mcore.Bench_json.t
-(** [{count; sum; mean; p50; p90; p99; max; buckets: [{lo; hi; count}]}]
-    with only non-empty buckets listed. *)

@@ -1,7 +1,7 @@
 (** The service observability registry: per-object op counters,
     per-shard latency histograms, per-I/O-loop event-loop counters and
-    the k-multiplicative accuracy self-check results, exported as one
-    JSON document through the STATS protocol op.
+    the k-multiplicative accuracy self-check results, streamed as one
+    line of JSON into the STATS reply ({!add_json}).
 
     Ownership discipline instead of extra locks: every mutable field
     has a single writer at a time — an {!obj} or {!shard} record is
@@ -292,4 +292,25 @@ val total_ops : t -> int
 
 val acc_violations_total : t -> int
 
-val to_json : t -> Mcore.Bench_json.t
+val add_json : t -> Obuf.t -> max_len:int -> unit
+(** Append the registry as one line of JSON, newline-terminated, at
+    the Obuf's end — the STATS reply body, written in place with no
+    intermediate tree or string. Top-level keys, in order: [server],
+    [cluster], [durability], [read_batch], [io_loops], [shards],
+    [objects], [objects_omitted]; members are ["key": value] separated
+    by [,]. Strings escape quote, backslash and newline with their
+    short forms and every other control byte as [\u00XX]; a float is
+    [null] when not finite, [%.1f] when integral below [1e15] and
+    [%.6g] otherwise.
+
+    The text stays within [max_len] bytes by listing objects in table
+    order only while the next stanza fits; the rest are counted in
+    [objects_omitted] (0 when every object is listed). Aggregates such
+    as [total_ops] and [acc_violations_total] cover every object
+    either way. The stanzas before [objects] grow with the I/O loops,
+    shards and peers, not with the table; a configuration whose
+    stanzas alone pass [max_len] overruns it.
+
+    Reserves capacity once, sized from the object count. Allocation
+    does not depend on the object count: a few words per histogram
+    and per call, and nothing per object. *)

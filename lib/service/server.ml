@@ -176,17 +176,21 @@ let kick_gossip t =
     try ignore (Unix.write t.g_wake_w wake_byte 0 1) with
     | Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) -> ()
 
+(* The first reply of a cycle puts the connection on its loop's
+   write list. *)
+let enqueue conn =
+  if not conn.c_queued then begin
+    conn.c_queued <- true;
+    let home = conn.c_home in
+    home.l_outq <- conn :: home.l_outq
+  end
+
 (* Append a reply to the connection's output buffer (owning loop
-   only); the first reply of a cycle puts the connection on the
-   loop's write list. A dead connection's replies are dropped. *)
+   only). A dead connection's replies are dropped. *)
 let reply conn resp =
   if conn.c_alive then begin
     Wire.encode_response_obuf conn.c_out resp;
-    if not conn.c_queued then begin
-      conn.c_queued <- true;
-      let home = conn.c_home in
-      home.l_outq <- conn :: home.l_outq
-    end
+    enqueue conn
   end
 
 (* ------------------------------------------------------------------ *)
@@ -436,9 +440,10 @@ let snapshot_tick t wal dir =
   Persist.Wal.truncate_upto wal idx;
   refresh_durability t
 
-(* A failing tick (disk full, permissions) does not stop the service:
-   it keeps serving with durability degraded and the WAL still
-   growing, and [snapshot_errors] in STATS shows it. *)
+(* A failing tick (disk full, permissions, a directory fsync refused
+   after the rename) does not stop the service: it keeps serving with
+   durability degraded and the WAL still growing (a tick that raised
+   never truncates it), and [snapshot_errors] in STATS shows it. *)
 let try_snapshot_tick t wal dir =
   try snapshot_tick t wal dir
   with Unix.Unix_error _ | Sys_error _ ->
@@ -639,14 +644,14 @@ let dispatch t loop conn req ~enq =
   | Wire.Stats { id } ->
     il.l_stats_requests <- il.l_stats_requests + 1;
     refresh_durability t;
-    let json = Mcore.Bench_json.to_string (Metrics.to_json t.metrics) in
-    (* The registry grows ~440 B per hosted object, so past ~2.3k
-       objects it outgrows the response cap. Encoding it would raise
-       and take the I/O loop down; answer with an explicit error
-       instead. *)
-    if String.length json > Wire.max_stats_json then
-      reply conn (Wire.Bad_request { id })
-    else reply conn (Wire.Stats_json { id; json })
+    (* The registry streams straight into the reply buffer, and lists
+       only as many objects as fit the response cap. *)
+    if conn.c_alive then begin
+      let frame = Wire.stats_open conn.c_out ~id in
+      Metrics.add_json t.metrics conn.c_out ~max_len:Wire.max_stats_json;
+      Wire.stats_close conn.c_out frame;
+      enqueue conn
+    end
   | Wire.Ping { id } -> reply conn (Wire.Pong { id })
   | Wire.Inc { id; name } -> object_op id name Inc 0
   | Wire.Add { id; name; delta } -> object_op id name Add delta

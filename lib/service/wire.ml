@@ -322,6 +322,34 @@ let obuf_bare ob status id =
   Obuf.add_u8 ob status;
   Obuf.add_i32_be ob (mask_id id)
 
+(* Patch a big-endian u32 at [off] of the Obuf's storage: the length
+   header a frame opener reserved with a placeholder. *)
+let patch_u32 ob off v =
+  let b = Obuf.bytes ob in
+  Bytes.unsafe_set b off (Char.unsafe_chr ((v asr 24) land 0xff));
+  Bytes.unsafe_set b (off + 1) (Char.unsafe_chr ((v asr 16) land 0xff));
+  Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v asr 8) land 0xff));
+  Bytes.unsafe_set b (off + 3) (Char.unsafe_chr (v land 0xff))
+
+(* A STATS_JSON reply is streamed: the opener reserves the length
+   header, the caller appends the JSON text in place, and the closer
+   patches the header — so the server never materialises the text
+   apart from the connection's output buffer. *)
+let stats_open ob ~id =
+  let frame = Obuf.length ob in
+  Obuf.add_i32_be ob 0;
+  Obuf.add_u8 ob 4;
+  Obuf.add_i32_be ob (mask_id id);
+  frame
+
+let stats_close ob frame =
+  let plen = Obuf.length ob - frame - header_len in
+  if plen > max_response_payload then begin
+    Obuf.truncate ob frame;
+    invalid_arg "Wire.stats_close: STATS payload too large"
+  end;
+  patch_u32 ob frame plen
+
 let encode_response_obuf ob resp =
   match resp with
   | Value { id; value } ->
@@ -335,10 +363,9 @@ let encode_response_obuf ob resp =
   | Stats_json { id; json } ->
     if String.length json > max_stats_json then
       invalid_arg "Wire.encode_response_obuf: STATS payload too large";
-    Obuf.add_i32_be ob (5 + String.length json);
-    Obuf.add_u8 ob 4;
-    Obuf.add_i32_be ob (mask_id id);
-    Obuf.add_string ob json
+    let frame = stats_open ob ~id in
+    Obuf.add_string ob json;
+    stats_close ob frame
   | Pong { id } -> obuf_bare ob 5 id
   | Hello_ok { id; version } ->
     Obuf.add_i32_be ob 6;
@@ -485,12 +512,8 @@ let frame_finish bl =
   let plen = Obuf.length ob - bl.b_frame_off - header_len in
   if plen > max_peer_payload then
     invalid_arg "Wire.frame_finish: frame exceeds max_peer_payload";
+  patch_u32 ob bl.b_frame_off plen;
   let b = Obuf.bytes ob in
-  let o = bl.b_frame_off in
-  Bytes.unsafe_set b o (Char.unsafe_chr ((plen asr 24) land 0xff));
-  Bytes.unsafe_set b (o + 1) (Char.unsafe_chr ((plen asr 16) land 0xff));
-  Bytes.unsafe_set b (o + 2) (Char.unsafe_chr ((plen asr 8) land 0xff));
-  Bytes.unsafe_set b (o + 3) (Char.unsafe_chr (plen land 0xff));
   let co = bl.b_count_off in
   Bytes.unsafe_set b co (Char.unsafe_chr ((bl.b_count lsr 8) land 0xff));
   Bytes.unsafe_set b (co + 1) (Char.unsafe_chr (bl.b_count land 0xff));

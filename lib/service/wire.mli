@@ -202,6 +202,18 @@ val encode_response_obuf : Obuf.t -> response -> unit
     appending straight into the connection's output buffer, so the
     server's flush path never copies. *)
 
+val stats_open : Obuf.t -> id:int -> int
+(** Open a STATS_JSON reply at the Obuf's end: a placeholder length
+    header, the status byte and the id. The caller appends the JSON
+    text in place, then passes the returned frame offset to
+    {!stats_close}. [encode_response_obuf] of [Stats_json] is this
+    open, one [add_string] and the close. *)
+
+val stats_close : Obuf.t -> int -> unit
+(** Patch the length header of the reply opened at the given offset.
+    @raise Invalid_argument (after truncating the frame back out) if
+    the payload outgrew {!max_response_payload}. *)
+
 (** {1 Streaming peer-frame builder}
 
     The gossip sender's encoder: appends GOSSIP2 / DIGEST frames

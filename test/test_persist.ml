@@ -104,6 +104,60 @@ let test_codec_byte_helpers =
       let b = O.bytes buf in
       Persist.Codec.get_u32 b 1 = u && Persist.Codec.get_i64 b 5 = i)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+(* The frames a WAL and a snapshot write for the same entries: each
+   file less its header. *)
+let wal_and_snapshot_frames entries =
+  with_dir (fun dir ->
+      let wal =
+        Persist.Wal.open_ ~dir ~fsync:Persist.Wal.Never
+          ~scan:(Persist.Wal.scan ~dir)
+      in
+      List.iter (Persist.Wal.append wal) entries;
+      Persist.Wal.close wal;
+      Persist.Snapshot.write ~dir ~wal_index:7 entries;
+      let wal = read_file (Filename.concat dir "wal.log")
+      and snap = read_file (Persist.Snapshot.path dir) in
+      ( String.sub wal 16 (String.length wal - 16),
+        String.sub snap 20 (String.length snap - 20) ))
+
+let codec_frames entries =
+  let buf = O.create () in
+  List.iter (fun e -> ignore (Persist.Codec.add_frame buf e)) entries;
+  O.contents buf
+
+let test_frames_shared =
+  QCheck.Test.make ~count:40
+    ~name:"WAL and snapshot frame entries alike"
+    (arb_entries ~min:0 ~max:12)
+    (fun entries ->
+      let wal, snap = wal_and_snapshot_frames entries in
+      wal = snap && wal = codec_frames entries)
+
+(* The frame bytes on disk are pinned: length, CRC-32, entry. *)
+let test_frame_bytes () =
+  let entries = [ ("c", D.Max 5); ("kc", D.Counter [| 1; 300; 70000 |]) ] in
+  let wal, snap = wal_and_snapshot_frames entries in
+  let expected =
+    "0000000bf7c8319301630100000000000000050000001d0f66f3bf026b630003\
+     0000000000000001000000000000012c0000000000011170"
+  in
+  check Alcotest.string "WAL frames" expected (hex wal);
+  check Alcotest.string "snapshot frames" expected (hex snap);
+  let b = Bytes.of_string wal in
+  match Persist.Codec.parse_frame b ~pos:0 ~stop:(Bytes.length b) with
+  | Some (e, next) ->
+    check Alcotest.bool "first frame parses back" true
+      (entry_equal e (List.hd entries));
+    check Alcotest.int "to the second frame" 19 next
+  | None -> Alcotest.fail "first frame did not parse"
+
 (* ------------------------------------------------------------------ *)
 (* WAL roundtrip and torn tail                                         *)
 (* ------------------------------------------------------------------ *)
@@ -220,6 +274,18 @@ let test_wal_truncate_fsync_error () =
       check Alcotest.bool "records past the cut" true
         (entries_equal s.Persist.Wal.s_entries
            (List.filteri (fun i _ -> i >= 6) entries)))
+
+(* A directory fsync that fails is reported, not swallowed: /dev/null
+   opens but refuses fsync (EINVAL), a missing path does not open. *)
+let test_fsync_dir_reports () =
+  with_dir (fun dir ->
+      check Alcotest.bool "a real directory syncs" true
+        (Persist.Wal.fsync_dir dir = Ok ());
+      check Alcotest.bool "fsync refused" true
+        (Persist.Wal.fsync_dir "/dev/null" = Error Unix.EINVAL);
+      check Alcotest.bool "open refused" true
+        (Persist.Wal.fsync_dir (Filename.concat dir "missing")
+         = Error Unix.ENOENT))
 
 (* The fsync policies' accounting: [fsyncs] are syncs that ran,
    [fsyncs_deferred] flushes that wrote records but skipped the sync,
@@ -764,7 +830,8 @@ let () =
   Alcotest.run "persist"
     [ ("codec",
        List.map QCheck_alcotest.to_alcotest
-         [ test_codec_roundtrip; test_codec_byte_helpers ]);
+         [ test_codec_roundtrip; test_codec_byte_helpers; test_frames_shared ]
+       @ [ ("frame bytes are pinned", `Quick, test_frame_bytes) ]);
       ("wal",
        [ QCheck_alcotest.to_alcotest test_wal_roundtrip;
          QCheck_alcotest.to_alcotest test_wal_torn_tail;
@@ -776,7 +843,8 @@ let () =
          ("failed fsyncs counted in STATS", `Quick, test_fsync_errors_counted);
          ("fsync policy text round-trips", `Quick, test_wal_policy_text);
          ("unsynced rotation keeps the log", `Quick,
-          test_wal_truncate_fsync_error) ]);
+          test_wal_truncate_fsync_error);
+         ("fsync_dir reports a failure", `Quick, test_fsync_dir_reports) ]);
       ("snapshot",
        [ QCheck_alcotest.to_alcotest test_snapshot_roundtrip;
          ("corrupt snapshot is ignored", `Quick,

@@ -279,9 +279,34 @@ let test_loadgen_4_shards poller () =
           "max_ready_batch"; "\"poller_rejects\": 0"; "spin_polls";
           "spin_hits" ])
 
-(* A registry too large for one response (4096 hosted counters is
-   well past the 1 MiB cap) must be refused with an error reply; the
-   connection stays usable. *)
+(* The first ["key": N] in a JSON text. *)
+let json_int json key =
+  let pat = Printf.sprintf "\"%s\": " key in
+  let pl = String.length pat and jl = String.length json in
+  let rec find i =
+    if i + pl > jl then Alcotest.failf "STATS has no %S" key
+    else if String.sub json i pl = pat then i + pl
+    else find (i + 1)
+  in
+  let s = find 0 in
+  let e = ref s in
+  while !e < jl && json.[!e] >= '0' && json.[!e] <= '9' do incr e done;
+  int_of_string (String.sub json s (!e - s))
+
+let count_occurrences ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i n =
+    if i + nl > hl then n
+    else if String.sub haystack i nl = needle then go (i + nl) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
+(* A table far past what one response can list (4,099 objects at
+   ~320 B a stanza pass the 1 MiB cap) still answers STATS: the reply
+   fits the cap, lists a table-order prefix and counts the rest in
+   [objects_omitted], while [total_ops] covers every object, listed or
+   not. The connection stays usable. *)
 let test_stats_over_cap () =
   let config =
     { Srv.default_config with
@@ -293,12 +318,87 @@ let test_stats_over_cap () =
       Fun.protect
         ~finally:(fun () -> Cl.close c)
         (fun () ->
-          (match Cl.stats_json c with
-           | exception Failure _ -> ()
-           | json ->
-             Alcotest.failf "over-cap STATS answered with %d bytes"
-               (String.length json));
+          (* 9 ops, 5 of them on the last counter, which is never
+             listed. *)
+          for _ = 1 to 3 do ignore (value_exn (Cl.inc c "c0")) done;
+          for _ = 1 to 5 do ignore (value_exn (Cl.inc c "c4095")) done;
+          ignore (value_exn (Cl.read_op c "faa"));
+          let json = Cl.stats_json c in
+          Alcotest.(check bool) "reply fits the STATS cap" true
+            (String.length json <= W.max_stats_json);
+          let listed = count_occurrences ~needle:"{\"name\": " json in
+          let omitted = json_int json "objects_omitted" in
+          check Alcotest.int "listed + omitted = table size" 4099
+            (listed + omitted);
+          Alcotest.(check bool) "some objects omitted" true (omitted > 0);
+          Alcotest.(check bool) "listed in table order" true
+            (contains ~needle:(Printf.sprintf "\"name\": \"c%d\"" (listed - 1)) json
+             && not
+                  (contains
+                     ~needle:(Printf.sprintf "\"name\": \"c%d\"" listed)
+                     json));
+          check Alcotest.int "total_ops covers every object" 9
+            (json_int json "total_ops");
           Alcotest.(check bool) "PING still answered" true (Cl.ping c)))
+
+(* A registry with [n] counters and non-integral histogram means. *)
+let stats_registry n =
+  let m = M.create ~shards:2 ~io_domains:2 () in
+  for i = 0 to n - 1 do
+    ignore
+      (M.add_obj m ~name:(Printf.sprintf "c%d" i) ~kind:"kcounter" ~k:4
+         ~shard:(i land 1))
+  done;
+  List.iter
+    (fun v ->
+      Service.Histogram.record (M.shard m 0).M.s_latency v;
+      Service.Histogram.record (M.io_loop m 1).M.l_cycle_ns (v * 7))
+    [ 3; 4; 1_000_003 ];
+  m
+
+(* The STATS writer allocates per call, never per object: the same
+   minor words for 1k as for 10k objects (the 10k table also hits the
+   cap, so the cut-back path is on the measured path). *)
+let test_stats_render_alloc () =
+  let words n =
+    let m = stats_registry n in
+    let ob = Service.Obuf.create ~size:(2 * W.max_response_payload) () in
+    M.add_json m ob ~max_len:W.max_stats_json;
+    Service.Obuf.clear ob;
+    let w0 = Gc.minor_words () in
+    M.add_json m ob ~max_len:W.max_stats_json;
+    let w1 = Gc.minor_words () in
+    int_of_float (w1 -. w0)
+  in
+  let w1k = words 1_000 and w10k = words 10_000 in
+  check Alcotest.int "1k and 10k objects allocate alike" w1k w10k;
+  Alcotest.(check bool) (Printf.sprintf "a few words per call (%d)" w1k) true
+    (w1k < 512)
+
+(* Strings and floats render exactly as [Bench_json] renders them. *)
+let test_stats_escaping () =
+  let m = M.create ~shards:1 ~io_domains:1 () in
+  let name = "q\"b\\s\x01n\nt\tz\x7f" in
+  ignore (M.add_obj m ~name ~kind:"kcounter" ~k:4 ~shard:0);
+  let h = (M.shard m 0).M.s_latency and f = (M.shard m 0).M.s_fused in
+  List.iter (Service.Histogram.record h) [ 1; 2; 2 ];
+  Service.Histogram.record f 2_000_000_000_000_000;
+  let ob = Service.Obuf.create () in
+  M.add_json m ob ~max_len:W.max_stats_json;
+  let json = Service.Obuf.contents ob in
+  let has needle =
+    Alcotest.(check bool) (Printf.sprintf "renders %S" needle) true
+      (contains ~needle json)
+  in
+  let bench_json v =
+    let s = Mcore.Bench_json.to_string v in
+    String.sub s 0 (String.length s - 1)
+  in
+  has ("\"name\": " ^ bench_json (Mcore.Bench_json.Str name));
+  has ("\"mean\": " ^ bench_json (Mcore.Bench_json.Float (5.0 /. 3.0)));
+  has ("\"mean\": " ^ bench_json (Mcore.Bench_json.Float 2e15));
+  has "\"mean\": null";
+  has "\"objects_omitted\": 0}\n"
 
 (* ------------------------------------------------------------------ *)
 (* Backpressure                                                        *)
@@ -786,7 +886,9 @@ let () =
          ("k-counter accuracy self-check", `Quick, test_kcounter_accuracy) ]
        @ per_poller (fun () ->
              [ ("loadgen against 4 shards", `Quick, test_loadgen_4_shards) ])
-       @ [ ("over-cap STATS is an error reply", `Quick, test_stats_over_cap) ]);
+       @ [ ("over-cap STATS lists a prefix", `Quick, test_stats_over_cap);
+           ("STATS render allocates per call", `Quick, test_stats_render_alloc);
+           ("STATS escapes like Bench_json", `Quick, test_stats_escaping) ]);
       ("fusion",
        [ ("objects-level defer/apply/batch_read", `Quick,
           test_objects_fusion_deterministic);

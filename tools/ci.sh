@@ -285,6 +285,29 @@ wait "$DUR_PID" 2>/dev/null || true
 trap - EXIT
 rm -rf "$DURDIR" "$DURSOCK" /tmp/approx_ci_dur_stats.json
 
+echo "== STATS answers at 100k hosted objects =="
+# STATS lists objects in table order while they fit the 1 MiB response
+# cap and counts the rest in objects_omitted, so a table of any size
+# still answers.
+BIGSOCK=/tmp/approx_ci_big_$$.sock
+rm -f "$BIGSOCK"
+"$EXE" serve --counters 100000 --unix "$BIGSOCK" --duration 120 >/dev/null &
+BIG_PID=$!
+trap 'kill -9 $BIG_PID 2>/dev/null || true' EXIT
+for _ in $(seq 1 300); do
+  [ -S "$BIGSOCK" ] && break
+  sleep 0.1
+done
+[ -S "$BIGSOCK" ] || { echo "100k-object server socket never appeared"; exit 1; }
+"$EXE" stats --unix "$BIGSOCK" > /tmp/approx_ci_big_stats.json \
+  || { echo "100k-object server refused STATS"; exit 1; }
+grep -q '"objects_omitted"' /tmp/approx_ci_big_stats.json \
+  || { echo "100k-object STATS has no objects_omitted count"; exit 1; }
+kill "$BIG_PID" 2>/dev/null || true
+wait "$BIG_PID" 2>/dev/null || true
+trap - EXIT
+rm -f "$BIGSOCK" /tmp/approx_ci_big_stats.json
+
 echo "== 3-node cluster smoke: delta gossip, hard node kill + blank restart =="
 # Exercise the replication plane end to end: three server processes
 # wired as gossip peers, the cluster-aware loadgen fanned out across
@@ -354,9 +377,10 @@ for N in 0 1 2; do
   if ! grep -q '"gossip_frames_sent": 0,' /tmp/approx_ci_cluster_stats.json; then
     GOSSIP_SENT=$((GOSSIP_SENT + 1))
   fi
-  DR=$(awk -F'[:,]' '/"gossip_digest_rounds"/ { gsub(/ /,"",$2); print $2; exit }' \
+  # STATS is one line of JSON: lift each value by its key, not by line.
+  DR=$(sed -n 's/.*"gossip_digest_rounds": \([0-9]*\).*/\1/p' \
     /tmp/approx_ci_cluster_stats.json)
-  PB=$(awk -F'[:,]' '/"gossip_bytes_sent"/ { gsub(/ /,"",$2); print $2; exit }' \
+  PB=$(sed -n 's/.*"gossip_bytes_sent": \([0-9]*\).*/\1/p' \
     /tmp/approx_ci_cluster_stats.json)
   DIGEST_ROUNDS=$((DIGEST_ROUNDS + ${DR:-0}))
   PEER_BYTES=$((PEER_BYTES + ${PB:-0}))
