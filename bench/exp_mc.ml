@@ -87,3 +87,23 @@ let run () =
      (no shared write), so they track the collect counter and beat faa\n\
      and lock as contention grows; kmaxreg writes touch O(log log m)\n\
      switch bits without retry loops."
+
+(* The CI throughput floor's probe: Algorithm 1 at n = 1, k = 2, cached
+   reads ([read_fast]), read-heavy, one domain, 1 warmup + 3 x 200k ops
+   -- the cell of the committed BENCH_9 record's fastpath read ablation
+   (cached, read-heavy, domains = 1). Full size, never smoke-sized:
+   short trials are dominated by Domain.spawn/join. Prints one line;
+   tools/ci.sh compares it against half the committed median. *)
+let floor () =
+  let kc = Mcore.Mc_kcounter.create ~n:1 ~k:2 () in
+  let worker =
+    Mcore.Throughput.mixed_worker Mcore.Throughput.read_heavy
+      ~inc:(fun ~pid -> Mcore.Mc_kcounter.increment kc ~pid)
+      ~read:(fun ~pid -> ignore (Mcore.Mc_kcounter.read_fast kc ~pid))
+  in
+  let stats =
+    Mcore.Throughput.measure ~warmup_trials:1 ~trials:3 ~domains:1
+      ~ops_per_domain:200_000 ~worker ()
+  in
+  Printf.printf "kcounter read-heavy domains=1 median: %.0f ops/s\n"
+    stats.Mcore.Throughput.s_median_ops_per_sec

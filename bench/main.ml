@@ -23,6 +23,10 @@ let experiments =
     ("e11", "exhaustive interleaving exploration", Exp_exhaustive.run);
     ("backends", "functor-instantiation smoke matrix", Exp_backends.run);
     ("mc", "multicore throughput (E8)", Exp_mc.run);
+    ("mlp", "tree max-register layout, boxed vs flat (peak RSS ~1.3 GB)",
+     Exp_mlp.run);
+    ("floor", "CI floor probe: kcounter read-heavy median (ops/s)",
+     Exp_mc.floor);
     ("bechamel", "wall-clock microbenchmarks (T1)", Bechamel_suite.run) ]
 
 let list_experiments () =

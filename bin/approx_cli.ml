@@ -436,86 +436,6 @@ let backends_cmd =
     Term.(const run_backends $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
-(* bench subcommand                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let run_bench trials warmup ops out smoke check_floor =
-  let cfg =
-    if smoke then { Perf.Pipeline.smoke_config with out_path = out }
-    else
-      { Perf.Pipeline.default_config with
-        trials;
-        warmup_trials = warmup;
-        ops_per_domain = ops;
-        out_path = out }
-  in
-  if cfg.trials < 1 || cfg.warmup_trials < 0 || cfg.ops_per_domain < 1
-  then begin
-    prerr_endline "bench: trials/ops must be positive";
-    2
-  end
-  else begin
-    ignore (Perf.Pipeline.run cfg);
-    match check_floor with
-    | None -> 0
-    | Some floor ->
-      (* A dedicated full-size measurement: smoke-sized trials are
-         spawn-dominated and not comparable to a committed record. *)
-      let median = Perf.Pipeline.read_heavy_floor_probe () in
-      if median >= floor then begin
-        Printf.printf
-          "floor check: kcounter read-heavy median %.6g >= %.6g ops/s\n"
-          median floor;
-        0
-      end
-      else begin
-        Printf.eprintf
-          "floor check FAILED: kcounter read-heavy median %.6g < %.6g ops/s\n"
-          median floor;
-        1
-      end
-  end
-
-let bench_cmd =
-  let trials_arg =
-    Arg.(value & opt int 5
-         & info [ "trials" ] ~docv:"T"
-             ~doc:"Recorded trials per measurement (min/median/max are \
-                   taken over these).")
-  in
-  let warmup_arg =
-    Arg.(value & opt int 1
-         & info [ "warmup" ] ~docv:"W"
-             ~doc:"Discarded warmup trials per measurement.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100_000
-         & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per domain per trial.")
-  in
-  let out_arg =
-    Arg.(value & opt string Perf.Pipeline.default_config.out_path
-         & info [ "out" ] ~docv:"FILE" ~doc:"Output JSON path.")
-  in
-  let smoke_arg =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"Run the tiny smoke configuration (fast; for CI).")
-  in
-  let check_floor_arg =
-    Arg.(value & opt (some float) None
-         & info [ "check-floor" ] ~docv:"OPS_PER_SEC"
-             ~doc:"After the run, fail (exit 1) unless the kcounter \
-                   read-heavy domains=1 median is at least $(docv) — the \
-                   CI regression guard against a committed BENCH record.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Run the benchmark pipeline and write a BENCH_*.json \
-             performance record")
-    Term.(const run_bench $ trials_arg $ warmup_arg $ ops_arg $ out_arg
-          $ smoke_arg $ check_floor_arg)
-
-(* ------------------------------------------------------------------ *)
 (* service subcommands: serve / loadgen / stats                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1172,7 +1092,7 @@ let stats_cmd =
 
 let commands =
   [ counter_cmd; maxreg_cmd; lincheck_cmd; awareness_cmd; perturb_cmd;
-    explore_cmd; backends_cmd; bench_cmd; serve_cmd; loadgen_cmd; stats_cmd ]
+    explore_cmd; backends_cmd; serve_cmd; loadgen_cmd; stats_cmd ]
 
 let usage_to_stderr () =
   prerr_endline "usage: approx_cli COMMAND [OPTION]...";
@@ -1211,5 +1131,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.18.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.20.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

@@ -73,11 +73,3 @@ let to_string v =
   emit buf 0 v;
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-let write_file ~path v =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string v));
-  Sys.rename tmp path

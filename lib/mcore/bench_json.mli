@@ -1,4 +1,5 @@
-(** Minimal JSON serializer for the benchmark pipeline (BENCH_*.json).
+(** Minimal JSON serializer: the format of the committed BENCH_*.json
+    records and of [approx_cli loadgen --json].
 
     The container has no JSON library, so this is a small dependency-free
     writer: a value AST plus pretty-printed emission. Non-finite floats
@@ -15,7 +16,3 @@ type t =
 
 val to_string : t -> string
 (** Pretty-printed JSON text, newline-terminated. *)
-
-val write_file : path:string -> t -> unit
-(** Serialize atomically: write [path ^ ".tmp"], then rename over
-    [path], so a crashed benchmark run never leaves a torn file. *)

@@ -1,5 +1,5 @@
-(** Domain-based throughput harness for experiment E8 and the perf
-    pipeline (BENCH_*.json).
+(** Domain-based throughput harness for the bench experiments E8 ([mc]),
+    [mlp] and the CI floor probe ([floor]).
 
     {!run} is a single timed trial: it spawns [domains] worker domains,
     releases them simultaneously through a start barrier, lets each

@@ -47,7 +47,7 @@ val close : t -> unit
 val fresh_id : t -> int
 (** Next request id (increments per call, wraps at 2^32). *)
 
-(** {2 Pipelined interface} *)
+(** {2 Interface for pipelined requests} *)
 
 val send : t -> Wire.request -> unit
 (** Encode into the local buffer; nothing hits the socket yet. *)

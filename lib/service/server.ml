@@ -385,19 +385,21 @@ let make_batch ~max_batch ~idle sh =
 (* Connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* [l_closed] is bumped last, once the fd is closed and the gauges are
+   down: a reader that sees the close counted also sees its effects. *)
 let close_conn t conn =
   if conn.c_alive then begin
     conn.c_alive <- false;
     let loop = conn.c_home in
     let il = loop.l_metrics in
-    il.l_closed <- il.l_closed + 1;
     Atomic.decr t.live_conns;
     if conn.c_slot >= 0 then begin
       il.l_owned_conns <- il.l_owned_conns - 1;
       Poller.unregister loop.l_poller conn.c_slot;
       conn.c_slot <- -1
     end;
-    try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
+    (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
+    il.l_closed <- il.l_closed + 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -838,8 +840,8 @@ let rec accept_burst t loop =
     let il = loop.l_metrics in
     il.l_accepted <- il.l_accepted + 1;
     if Atomic.get t.live_conns >= t.cfg.max_conns then begin
-      il.l_closed <- il.l_closed + 1;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      il.l_closed <- il.l_closed + 1
     end
     else begin
       Atomic.incr t.live_conns;

@@ -58,7 +58,7 @@ let test_unknown_subcommand () =
         true
         (contains ~needle err))
     [ "unknown command 'frobnicate'"; "usage: approx_cli COMMAND";
-      "serve"; "loadgen"; "stats"; "bench" ]
+      "serve"; "loadgen"; "stats"; "backends" ]
 
 let test_missing_subcommand () =
   let status, _, err = run [] in

@@ -48,6 +48,68 @@ let test_explore_kcounter_exhaustive () =
   Alcotest.(check bool) "explored many executions" true
     (stats.executions > 10)
 
+(* The startup-corner erratum (EXPERIMENTS "Erratum"): Algorithm 1 as
+   written is not k-accurate when n > k + 1. Naive exhaustive search
+   finds it at n = 4, k = 2 with a sequential witness: five incs
+   complete, then p1's read returns 2 < 5 / 2. [kcounter_explore n k
+   script] runs the search on the paper's body. *)
+let kcounter_explore ~n ~k script =
+  let build () =
+    let exec = Sim.Exec.create ~n () in
+    let counter = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
+    let programs =
+      Workload.Script.counter_programs (Sim_algo.Kcounter.handle counter)
+        script
+    in
+    (exec, programs)
+  in
+  (build, Lincheck.Explore.exhaustive ~build ~spec:(Lincheck.Spec.k_counter ~k) ())
+
+let erratum_script =
+  Workload.Script.[| [ Inc; Inc ]; [ Inc; Read ]; [ Inc ]; [ Inc ] |]
+
+let test_explore_finds_startup_corner () =
+  let build, stats = kcounter_explore ~n:4 ~k:2 erratum_script in
+  check vi "executions" 1_114 stats.executions;
+  check vi "violations" 2 stats.violations;
+  Alcotest.(check bool) "not truncated" false stats.truncated;
+  match stats.first_violation with
+  | None -> Alcotest.fail "no witness"
+  | Some schedule ->
+    let exec, programs = build () in
+    ignore
+      (Sim.Exec.run exec ~programs ~policy:(Sim.Schedule.Script schedule) ());
+    (* Each read as (incs completed before its invocation, result). *)
+    let names = Hashtbl.create 8 and incs = ref 0 and reads = ref [] in
+    let at_invoke = Hashtbl.create 8 in
+    Sim.Trace.iter
+      (function
+        | Sim.Trace.Invoke { op_id; name; _ } ->
+          Hashtbl.replace names op_id name;
+          Hashtbl.replace at_invoke op_id !incs
+        | Return { op_id; result; _ } -> (
+          match Hashtbl.find names op_id with
+          | "inc" -> incr incs
+          | _ -> reads := (Hashtbl.find at_invoke op_id, result) :: !reads)
+        | Step _ | Note _ -> ())
+      (Sim.Exec.trace exec);
+    Alcotest.(check (list (pair int (option int))))
+      "a read of 2 after five completed incs" [ (5, Some 2) ] !reads
+
+(* Controls: with n <= k + 1 the same search finds nothing. *)
+let test_explore_startup_controls () =
+  let _, stats =
+    kcounter_explore ~n:3 ~k:2
+      Workload.Script.[| [ Inc; Inc ]; [ Inc; Read ]; [ Inc ] |]
+  in
+  check vi "n = 3, k = 2: executions" 118 stats.executions;
+  check vi "n = 3, k = 2: violations" 0 stats.violations;
+  Alcotest.(check bool) "n = 3, k = 2: not truncated" false stats.truncated;
+  let _, stats = kcounter_explore ~n:4 ~k:3 erratum_script in
+  check vi "n = 4, k = 3: executions" 120 stats.executions;
+  check vi "n = 4, k = 3: violations" 0 stats.violations;
+  Alcotest.(check bool) "n = 4, k = 3: not truncated" false stats.truncated
+
 let test_explore_kmaxreg_exhaustive () =
   (* m = 5 keeps the inner register on the tree branch for n = 2 (the
      snapshot branch retries under contention, blowing up the state
@@ -362,6 +424,9 @@ let suite =
     ("pct drives kcounter", `Quick, test_pct_drives_kcounter);
     ("explore kmaxreg write_fast exhaustive", `Slow,
      test_explore_kmaxreg_write_fast);
-    ("explore finds early-top bug", `Quick, test_explore_finds_early_top_bug) ]
+    ("explore finds early-top bug", `Quick, test_explore_finds_early_top_bug);
+    ("explore finds startup corner", `Quick, test_explore_finds_startup_corner);
+    ("startup corner needs n > k + 1", `Quick, test_explore_startup_controls)
+  ]
 
 let () = Alcotest.run "explore" [ ("explore", suite) ]

@@ -271,6 +271,40 @@ let test_collect_read_no_alloc () =
       ignore (Sys.opaque_identity (AColl.read c ~pid:0)));
   check Alcotest.int "strided sum is exact" 28 (AColl.read c ~pid:0)
 
+(* The op sequence of the mlp layout sweep ([bench/main.exe -- mlp]) at
+   smoke size: 2 objects, m = 256, 500 ops, 50 permille random-value
+   writes, drand48's LCG from seed 42. Every read of the flat tree max
+   register must equal its object's exact running max. *)
+let test_tree_mlp_running_max () =
+  let objects = 2 and m = 256 and write_permille = 50 in
+  let lcg_next s =
+    s := ((!s * 25214903917) + 11) land 0xFFFFFFFFFFFF;
+    !s lsr 16
+  in
+  let module T = Mcore.Atomic_algo.Tree_maxreg in
+  let ctx = Backend.Atomic_backend.ctx () in
+  let ts =
+    Array.init objects (fun j ->
+        T.create ctx ~name:(Printf.sprintf "mlp%d" j) ~m ())
+  in
+  let exact = Array.make objects 0 in
+  let rng = ref 42 and writes = ref 0 in
+  for op = 1 to 500 do
+    let j = lcg_next rng mod objects in
+    if lcg_next rng mod 1000 < write_permille then begin
+      let v = lcg_next rng mod m in
+      T.write ts.(j) ~pid:0 v;
+      exact.(j) <- max exact.(j) v;
+      incr writes
+    end
+    else
+      check Alcotest.int
+        (Printf.sprintf "op %d: read of object %d" op j)
+        exact.(j) (T.read ts.(j) ~pid:0)
+  done;
+  Alcotest.(check bool) "the sequence wrote both objects" true
+    (!writes > 0 && Array.for_all (fun v -> v > 0) exact)
+
 (* ------------------------------------------------------------------ *)
 (* kmaxreg validated cache                                             *)
 (* ------------------------------------------------------------------ *)
@@ -495,6 +529,9 @@ let () =
           test_tree_read_no_alloc);
          ("strided collect read allocates nothing", `Quick,
           test_collect_read_no_alloc) ]);
+      ("tree maxreg",
+       [ ("mlp op sequence reads the running max", `Quick,
+          test_tree_mlp_running_max) ]);
       ("kmaxreg",
        [ ("read_fast agrees with read", `Quick, test_kmaxreg_read_fast_agrees);
          ("custom inner degrades to plain read", `Quick,

@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI check: formatting, build, tests (which include the perf-pipeline
-# smoke test), and a fresh smoke BENCH record. Run from the repo root.
+# CI check: formatting, build, tests, the bench harness's throughput
+# floor and mlp sweep, the committed BENCH records, and CLI, service,
+# durability and cluster smokes. Run from the repo root.
 set -e
 
 echo "== dune build @fmt (dune files; ocamlformat is not installed) =="
@@ -25,42 +26,52 @@ if grep -nE 'atomic_array|Boxed' lib/backend/atomic_backend.ml; then
   echo "atomic_backend.ml has a second (boxed) array layout"; exit 1
 fi
 
-echo "== the perf pipeline keeps only algorithm and memory cells =="
+echo "== the bench harness keeps only algorithm and memory experiments =="
 # Every measurement of the served path belongs to perfbench; the
-# pipeline library may not link the service or its durability plane.
-if grep -nwE 'service|persist' lib/perf/dune; then
-  echo "lib/perf links the served path; measure it in perfbench"; exit 1
+# experiment harness may not link the service or its durability plane.
+if grep -nwE 'service|persist' bench/dune; then
+  echo "bench links the served path; measure it in perfbench"; exit 1
 fi
 
-echo "== dune runtest (includes bench smoke) =="
+echo "== CLI version matches the newest CHANGELOG entry =="
+CLI_VERSION=$(dune exec bin/approx_cli.exe -- --version)
+LOG_VERSION=$(sed -n 's/^## \([0-9][0-9]*\.[0-9][0-9]*\.[0-9][0-9]*\).*/\1/p' \
+  CHANGELOG.md | head -n 1)
+[ "$CLI_VERSION" = "$LOG_VERSION" ] \
+  || { echo "approx_cli --version is $CLI_VERSION, CHANGELOG.md says $LOG_VERSION"; exit 1; }
+
+echo "== dune runtest =="
 dune runtest
 
 echo "== backend functor-instantiation smoke matrix =="
 dune exec bin/approx_cli.exe -- backends
 
-echo "== bench pipeline smoke (CLI path) + perf regression guard =="
-# Floor: the committed BENCH_2 kcounter read-heavy domains=1 median.
-# The validated-cache read path must not regress below the last
-# committed record even in the smoke configuration.
-FLOOR=$(awk '/"object":/ { obj = ($2 ~ /kcounter/) }
-  obj && /"workload":/ { rh = ($2 ~ /read-heavy/) }
-  obj && rh && /"ops_per_sec_median":/ { gsub(/,/,"",$2); print $2; exit }' \
-  BENCH_2.json)
-[ -n "$FLOOR" ] || { echo "could not extract the BENCH_2 floor"; exit 1; }
-echo "   (floor: kcounter read-heavy median >= $FLOOR ops/s)"
-dune exec bin/approx_cli.exe -- bench --smoke --out /tmp/BENCH_ci_smoke.json \
-  --check-floor "$FLOOR" > /dev/null
-grep -q '"schema_version": 12' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record is not schema_version 12"; exit 1; }
-grep -q '"mlp"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the mlp working-set sweep"; exit 1; }
-grep -q '"flat_over_boxed_speedup"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing the walk-vs-flat speedup"; exit 1; }
-grep -q '"finals_agree": true' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke mlp layouts disagreed on final register values"; exit 1; }
-grep -q '"effective_cores"' /tmp/BENCH_ci_smoke.json \
-  || { echo "smoke record missing host core detection"; exit 1; }
-rm -f /tmp/BENCH_ci_smoke.json
+echo "== throughput floor: kcounter read-heavy probe vs committed BENCH_9 =="
+# Floor: half the committed BENCH_9 fastpath read-ablation median for
+# the same cell (kcounter, cached reads, read-heavy, domains=1) -- the
+# same 50% rule as the service floor below. The probe always runs at
+# full size (1 warmup + 3 x 200k ops).
+FP_BASE=$(awk '/"fastpath":/ { fp = 1 }
+  fp && /"object":/ { obj = ($2 ~ /"kcounter"/) }
+  fp && /"variant":/ { cached = ($2 ~ /"cached"/) }
+  fp && /"workload":/ { rh = ($2 ~ /"read-heavy"/) }
+  fp && /"domains":/ { d1 = ($2 + 0 == 1) }
+  fp && obj && cached && rh && d1 && /"ops_per_sec_median":/ \
+    { gsub(/,/, "", $2); printf "%.0f\n", $2; exit }' BENCH_9.json)
+[ -n "$FP_BASE" ] || { echo "could not extract the BENCH_9 fastpath median"; exit 1; }
+FP_FLOOR=$(awk "BEGIN { printf \"%.0f\", $FP_BASE * 0.5 }")
+echo "   (floor: kcounter read-heavy median >= $FP_FLOOR ops/s, 50% of $FP_BASE)"
+FP_MEDIAN=$(dune exec bench/main.exe -- floor \
+  | sed -n 's/^kcounter read-heavy domains=1 median: \([0-9][0-9]*\) ops\/s$/\1/p')
+[ -n "$FP_MEDIAN" ] || { echo "bench floor printed no median"; exit 1; }
+echo "   (measured: $FP_MEDIAN ops/s)"
+[ "$FP_MEDIAN" -ge "$FP_FLOOR" ] \
+  || { echo "floor check FAILED: $FP_MEDIAN < $FP_FLOOR ops/s"; exit 1; }
+
+echo "== mlp sweep: boxed and flat layouts agree on every cell =="
+# The bench exits nonzero when a cell's two layouts disagree on the
+# final read. About 4 s; the largest boxed cell peaks at about 1.3 GB RSS.
+dune exec bench/main.exe -- mlp
 
 echo "== committed BENCH_7 record: schema, cluster and durability fields =="
 grep -q '"schema_version": 7' BENCH_7.json \
