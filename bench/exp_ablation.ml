@@ -17,7 +17,12 @@
    E10: the additive relaxation — the k-additive counter of [8]'s
    discussion, compared with Algorithm 1 at matched "budgets". *)
 
-let starvation_steps ~variant_read ~incs =
+(* Algorithm 1 over the simulator, as the given variant. *)
+let kcounter variant exec ~n ~k =
+  Sim_algo.Kcounter.handle
+    (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~variant ~n ~k ())
+
+let starvation_steps variant ~incs =
   (* The incrementer gets 8 shared steps per reader step, so the switch
      frontier (which advances one position per announcement, i.e. per 2
      incrementer steps early on) stays ahead of the reader's scan until
@@ -29,14 +34,17 @@ let starvation_steps ~variant_read ~incs =
   let exec = Sim.Exec.create ~trace_steps:false ~n () in
   let read_steps = ref (-1) in
   let reader_done = ref false in
-  let incr_op, read_op = variant_read exec ~n ~k in
+  let counter = kcounter variant exec ~n ~k in
   let programs =
     [| (fun pid ->
-         ignore (Sim.Api.op_int ~name:"read" (fun () -> read_op ~pid));
+         ignore
+           (Sim.Api.op_int ~name:"read" (fun () ->
+                counter.Obj_intf.c_read ~pid));
          reader_done := true);
        (fun pid ->
          for _ = 1 to incs do
-           Sim.Api.op_unit ~name:"inc" (fun () -> incr_op ~pid)
+           Sim.Api.op_unit ~name:"inc" (fun () ->
+               counter.Obj_intf.c_inc ~pid)
          done) |]
   in
   let script =
@@ -54,16 +62,6 @@ let starvation_steps ~variant_read ~incs =
   (!read_steps, !reader_done)
 
 let run_helping_ablation () =
-  let with_helping exec ~n ~k =
-    let c = Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k () in
-    ((fun ~pid -> Sim_algo.Kcounter.increment c ~pid),
-     fun ~pid -> Sim_algo.Kcounter.read c ~pid)
-  in
-  let without_helping exec ~n ~k =
-    let c = Approx.Kcounter_variants.No_helping.create exec ~n ~k () in
-    ((fun ~pid -> Approx.Kcounter_variants.No_helping.increment c ~pid),
-     fun ~pid -> Approx.Kcounter_variants.No_helping.read c ~pid)
-  in
   (* The starving reader's cost grows with the incrementer's work budget:
      the switch frontier stays ahead of the scan for ~log(total incs)
      positions. With helping the reader escapes after O(n) steps no matter
@@ -71,8 +69,8 @@ let run_helping_ablation () =
   let rows =
     List.map
       (fun incs ->
-        let s1, d1 = starvation_steps ~variant_read:with_helping ~incs in
-        let s2, d2 = starvation_steps ~variant_read:without_helping ~incs in
+        let s1, d1 = starvation_steps Paper ~incs in
+        let s2, d2 = starvation_steps No_helping ~incs in
         [ Printf.sprintf "%d" incs;
           Printf.sprintf "%d%s" s1 (if d1 then "" else " (unfinished)");
           Printf.sprintf "%d%s" s2 (if d2 then "" else " (unfinished)") ])
@@ -128,14 +126,10 @@ let run_probe_ablation () =
       (fun k ->
         let incs = 2_000_000 in
         let with_cursor =
-          total_inc_steps ~k ~incs ~make:(fun exec ~n ~k ->
-              Sim_algo.Kcounter.handle
-                (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
+          total_inc_steps ~k ~incs ~make:(kcounter Paper)
         in
         let without_cursor =
-          total_inc_steps ~k ~incs ~make:(fun exec ~n ~k ->
-              Approx.Kcounter_variants.No_probe_resume.handle
-                (Approx.Kcounter_variants.No_probe_resume.create exec ~n ~k ()))
+          total_inc_steps ~k ~incs ~make:(kcounter No_probe_resume)
         in
         [ string_of_int k;
           string_of_int with_cursor;
@@ -155,18 +149,9 @@ let run_probe_ablation () =
 
 let run_cost_ablation () =
   let variants =
-    [ ("Algorithm 1",
-       fun exec ~n ~k ->
-         Sim_algo.Kcounter.handle
-           (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()));
-      ("no-probe-resume",
-       fun exec ~n ~k ->
-         Approx.Kcounter_variants.No_probe_resume.handle
-           (Approx.Kcounter_variants.No_probe_resume.create exec ~n ~k ()));
-      ("full-scan-read",
-       fun exec ~n ~k ->
-         Approx.Kcounter_variants.Full_scan_read.handle
-           (Approx.Kcounter_variants.Full_scan_read.create exec ~n ~k ())) ]
+    [ ("Algorithm 1", kcounter Paper);
+      ("no-probe-resume", kcounter No_probe_resume);
+      ("full-scan-read", kcounter Full_scan_read) ]
   in
   let n = 16 in
   let rows =
@@ -219,10 +204,7 @@ let run_additive () =
               Tables.fmt_float inc_mean; string_of_int read_worst ])
           [ 4; 16; 64; 256 ])
       [ ("k-multiplicative (Alg 1)",
-         fun exec ~n ~k ->
-           Sim_algo.Kcounter.handle
-             (Sim_algo.Kcounter.create (Sim_backend.ctx exec)
-                ~n ~k:(max 2 k) ()));
+         fun exec ~n ~k -> kcounter Paper exec ~n ~k:(max 2 k));
         ("k-additive (flush batching)",
          fun exec ~n ~k ->
            Sim_algo.Collect_counter.handle

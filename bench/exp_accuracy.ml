@@ -101,10 +101,12 @@ let run_erratum () =
      fun ~pid -> Sim_algo.Kcounter.read c ~pid)
   in
   let corrected exec ~n ~k =
-    let c = Approx.Kcounter_variants.Startup_corrected.create exec ~n ~k () in
-    ((fun ~pid ->
-       Approx.Kcounter_variants.Startup_corrected.increment c ~pid),
-     fun ~pid -> Approx.Kcounter_variants.Startup_corrected.read c ~pid)
+    let c =
+      Sim_algo.Kcounter.create (Sim_backend.ctx exec)
+        ~variant:Startup_corrected ~n ~k ()
+    in
+    ((fun ~pid -> Sim_algo.Kcounter.increment c ~pid),
+     fun ~pid -> Sim_algo.Kcounter.read c ~pid)
   in
   let rows =
     List.concat_map
@@ -134,7 +136,7 @@ let run_erratum () =
      increments parked below the announce thresholds; the proof of Lemma\n\
      III.5 assumes q >= 1 or p >= 1). The startup-corrected variant\n\
      (first-increment announce bits + a corner collect) repairs it for\n\
-     every n and k; see Kcounter_variants.Startup_corrected."
+     every n and k; see Kcounter_algo.Startup_corrected."
 
 let run () =
   Tables.section "E7  Accuracy envelope and its k >= sqrt(n) precondition";

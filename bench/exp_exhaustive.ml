@@ -67,8 +67,9 @@ let cases =
     counter_case ~label:"startup-corrected kcounter"
       ~spec:(Lincheck.Spec.k_counter ~k:2)
       ~make:(fun exec ~n ->
-        Approx.Kcounter_variants.Startup_corrected.handle
-          (Approx.Kcounter_variants.Startup_corrected.create exec ~n ~k:2 ()))
+        Sim_algo.Kcounter.handle
+          (Sim_algo.Kcounter.create (Sim_backend.ctx exec)
+             ~variant:Startup_corrected ~n ~k:2 ()))
       [| [ Inc; Inc; Read ]; [ Inc; Read ] |];
     counter_case ~label:"collect counter (exact)"
       ~spec:Lincheck.Spec.exact_counter

@@ -1131,5 +1131,5 @@ let () =
     exit 2
   end;
   let doc = "deterministic approximate objects (ICDCS 2021) playground" in
-  let info = Cmd.info "approx_cli" ~version:"1.20.0" ~doc in
+  let info = Cmd.info "approx_cli" ~version:"1.21.0" ~doc in
   exit (Cmd.eval' (Cmd.group info commands))

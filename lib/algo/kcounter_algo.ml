@@ -10,7 +10,16 @@
    (last, p, q). Under Sim_backend every primitive is one charged step
    and the step sequences are exactly those of the paper's pseudocode
    (probe loop lines 12-22, read loop lines 35-58 with the helping
-   rescan every n iterations). *)
+   rescan every n iterations). The ablations and the startup-corner
+   repair are create-time variants of this body; no variant test sits
+   on read_fast's hit or on add's arithmetic between boundaries. *)
+
+type variant =
+  | Paper
+  | No_helping
+  | No_probe_resume
+  | Full_scan_read
+  | Startup_corrected
 
 module Make (B : Backend.Backend_intf.S) = struct
   type local = {
@@ -29,17 +38,23 @@ module Make (B : Backend.Backend_intf.S) = struct
     help : int array;  (* reusable read scratch; only slots 0 .. n-1 used *)
   }
 
+  (* The variant fields come last, so the hot fields keep the offsets
+     (and cache line) they have without them. *)
   type t = {
     n : int;
     k : int;
     switches : B.ts_array;
     h : B.ann_array;
     locals : local array;
+    variant : variant;
+    first_inc : B.swmr_array option;
+        (* Startup_corrected only: per-pid first-increment bits *)
   }
 
   let max_capacity = min B.ts_max_capacity (B.ann_max_value + 1)
 
-  let create ctx ?(name = "kcnt") ?capacity_hint ~n ~k () =
+  let create ctx ?(name = "kcnt") ?capacity_hint ?(variant = Paper) ~n ~k
+      () =
     if n < 1 then invalid_arg "Kcounter_algo.create: n < 1";
     if k < 2 then invalid_arg "Kcounter_algo.create: k < 2";
     (* Cache-line padding keeps one pid's locals and scratch off the
@@ -73,11 +88,17 @@ module Make (B : Backend.Backend_intf.S) = struct
     for pid = 0 to n - 1 do
       locals.(pid) <- pad (fresh ())
     done;
-    { n;
-      k;
-      switches = B.ts_array ctx ~name:(name ^ ".switch") ?capacity_hint ~n ();
-      h = B.ann_array ctx ~name:(name ^ ".H") ~n ();
-      locals }
+    let h = B.ann_array ctx ~name:(name ^ ".H") ~n () in
+    let switches =
+      B.ts_array ctx ~name:(name ^ ".switch") ?capacity_hint ~n ()
+    in
+    let first_inc =
+      match variant with
+      | Startup_corrected ->
+        Some (B.swmr_array ctx ~name:(name ^ ".first") ~n ~init:0 ())
+      | Paper | No_helping | No_probe_resume | Full_scan_read -> None
+    in
+    { n; k; switches; h; locals; variant; first_inc }
 
   let k t = t.k
   let n t = t.n
@@ -109,8 +130,19 @@ module Make (B : Backend.Backend_intf.S) = struct
      exactly when [lcounter] has just reached [limit]. *)
   let announce_boundary t s ~pid =
     let j = s.limit_exp in
-    if j > 0 then announce_scan t s ~pid ~j (((j - 1) * t.k) + s.l0)
+    if j > 0 then begin
+      (* No_probe_resume re-probes the interval from its first switch
+         instead of the persistent cursor l0 (lines 22-24). *)
+      let l0 = match t.variant with No_probe_resume -> 1 | _ -> s.l0 in
+      announce_scan t s ~pid ~j (((j - 1) * t.k) + l0)
+    end
     else begin
+      (* Every pid's first increment lands here exactly once, so this
+         is where Startup_corrected publishes its first-increment bit,
+         before the switch_0 probe. *)
+      (match t.first_inc with
+       | Some bits -> B.swmr_write bits ~pid 1
+       | None -> ());
       (* lines 25-28: first announcement targets switch_0; the paper
          does not publish it in H (helping only ever adopts interval
          switches). *)
@@ -201,20 +233,38 @@ module Make (B : Backend.Backend_intf.S) = struct
       else check_help_from t s ~pid (j + 1)
     end
 
+  (* Startup_corrected's corner read: the number of processes whose
+     first-increment bit is set, one load per pid in order. *)
+  let rec count_started t bits ~pid j acc =
+    if j >= t.n then acc
+    else count_started t bits ~pid (j + 1) (acc + B.swmr_read bits ~pid j)
+
   (* The read loop of Algorithm 1 (lines 35-58): hop between first and
      last switch of each interval from the persistent position [last];
      every n probes rescan H, returning through the helping mechanism
      once some process's sequence number advanced by >= 2. *)
   let rec read_loop t s ~pid c =
     if not (B.ts_read t.switches ~pid s.last) then
-      if s.last = 0 then 0 else return_value t ~p:s.p ~q:s.q
+      if s.last = 0 then 0
+      else
+        match t.first_inc with
+        | Some bits when s.p = 0 && s.q = 0 ->
+          (* The startup corner: only switch_0 is known set, and
+             ReturnValue(0,0) = k cannot cover the increments parked in
+             local counters. Return k times the started processes. *)
+          t.k * max 1 (count_started t bits ~pid 0 0)
+        | _ -> return_value t ~p:s.p ~q:s.q
     else begin
       s.p <- s.last mod t.k;
       s.q <- s.last / t.k;
-      if s.last mod t.k = 0 then s.last <- s.last + 1
-      else s.last <- s.last + t.k - 1;
+      (match t.variant with
+       | Full_scan_read -> s.last <- s.last + 1
+       | _ ->
+         if s.last mod t.k = 0 then s.last <- s.last + 1
+         else s.last <- s.last + t.k - 1);
       let c = c + 1 in
-      if c mod t.n = 0 then
+      let helping = match t.variant with No_helping -> false | _ -> true in
+      if c mod t.n = 0 && helping then
         if c = t.n then begin
           (* lines 46-48: first pass only records sequence numbers *)
           collect_help t s ~pid;
@@ -248,7 +298,12 @@ module Make (B : Backend.Backend_intf.S) = struct
      belongs to a still-in-flight operation. Linearizing the cached
      read before those concurrent increments is therefore legal, and
      the served value is one a fresh full read could also have
-     returned. *)
+     returned.
+
+     A startup-corner value is never cached: a process that starts
+     later only writes its first-increment bit and fails the switch_0
+     probe, so no flip invalidates it. Under Startup_corrected a full
+     read ends with [last = 1] exactly when it took the corner exit. *)
   let read_fast t ~pid =
     let s = t.locals.(pid) in
     let v = B.ts_version t.switches ~pid in
@@ -259,7 +314,10 @@ module Make (B : Backend.Backend_intf.S) = struct
     else begin
       s.fast_misses <- s.fast_misses + 1;
       let value = read_loop t s ~pid 0 in
-      if B.ts_version t.switches ~pid = v then begin
+      let corner =
+        match t.first_inc with Some _ -> s.last = 1 | None -> false
+      in
+      if B.ts_version t.switches ~pid = v && not corner then begin
         s.cache_value <- value;
         s.cache_version <- v
       end;
@@ -280,7 +338,15 @@ module Make (B : Backend.Backend_intf.S) = struct
       (B.ts_states t.switches)
 
   let handle t =
-    { Obj_intf.c_label = Printf.sprintf "kcounter(k=%d)" t.k;
+    let variant =
+      match t.variant with
+      | Paper -> ""
+      | No_helping -> "/no-helping"
+      | No_probe_resume -> "/no-probe-resume"
+      | Full_scan_read -> "/full-scan-read"
+      | Startup_corrected -> "/startup-corrected"
+    in
+    { Obj_intf.c_label = Printf.sprintf "kcounter%s(k=%d)" variant t.k;
       c_inc = (fun ~pid -> increment t ~pid);
       c_read = (fun ~pid -> read t ~pid) }
 end

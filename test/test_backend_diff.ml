@@ -358,6 +358,69 @@ let test_kadditive_diff () =
           (Sim.Exec.steps_total (Option.get !sim_exec)))
     [ (1, 0, 41); (3, 0, 42); (5, 0, 43); (3, 7, 44); (4, 25, 45) ]
 
+(* The startup-corrected body (Kcounter_algo's Startup_corrected): sim
+   and atomic read sequences agree through both [read] and [read_fast].
+   The hand-built script runs at n > k + 1 and stays in the startup
+   regime: every process parks below its second announce threshold
+   (pid 0 performs k increments, the others k - 1), so switch_1 is never
+   set and every read after the first increment is a corner read; the
+   last one counts all n started processes. *)
+let test_corrected_diff () =
+  let diff ~n ~k seq =
+    let label what = Printf.sprintf "%s (n=%d k=%d)" what n k in
+    List.iter
+      (fun (what, sim_read, atomic_read) ->
+        let sim_reads =
+          run_in_sim ~n
+            ~build:(fun exec ->
+              SK.create (Sim_backend.ctx exec) ~variant:Startup_corrected ~n
+                ~k ())
+            ~apply:(apply_counter SK.increment sim_read)
+            seq
+        in
+        let atomic =
+          AK.create (Backend.Atomic_backend.ctx ()) ~variant:Startup_corrected
+            ~n ~k ()
+        in
+        let atomic_reads =
+          run_direct ~apply:(apply_counter AK.increment atomic_read) atomic seq
+        in
+        check Alcotest.(list int) (label what) sim_reads atomic_reads)
+      [ ("read agrees", SK.read, AK.read);
+        ("read_fast agrees", SK.read_fast, AK.read_fast) ]
+  in
+  List.iter
+    (fun (n, k, seed) ->
+      diff ~n ~k
+        (Workload.Script.interleave ~seed
+           (Workload.Script.counter_mix ~seed ~n ~ops_per_process:60
+              ~read_fraction:0.3)))
+    [ (3, 2, 51); (5, 2, 52); (4, 3, 53) ];
+  let n = 6 and k = 3 in
+  let startup =
+    List.concat_map
+      (fun pid ->
+        List.concat
+          (List.init
+             (if pid = 0 then k else k - 1)
+             (fun _ ->
+               [ (pid, Workload.Script.Inc);
+                 ((pid + 1) mod n, Workload.Script.Read) ])))
+      (List.init n Fun.id)
+  in
+  diff ~n ~k startup;
+  let atomic =
+    AK.create (Backend.Atomic_backend.ctx ()) ~variant:Startup_corrected ~n ~k
+      ()
+  in
+  let reads =
+    run_direct ~apply:(apply_counter AK.increment AK.read) atomic startup
+  in
+  check Alcotest.int "startup script ends on a corner read of all n" (k * n)
+    (List.nth reads (List.length reads - 1));
+  check Alcotest.(list (pair int bool)) "switch_1 never set" [ (0, true) ]
+    (List.filter (fun (_, set) -> set) (AK.switch_states atomic))
+
 (* ------------------------------------------------------------------ *)
 (* Interleave itself                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -394,6 +457,7 @@ let suite =
     ("tree sim vs atomic", `Quick, test_tree_sim_vs_atomic);
     ("collect sim vs atomic", `Quick, test_collect_diff);
     ("kadditive sim vs atomic", `Quick, test_kadditive_diff);
+    ("startup-corrected sim vs atomic", `Quick, test_corrected_diff);
     ("interleave properties", `Quick, test_interleave_properties) ]
 
 let () = Alcotest.run "backend_diff" [ ("backend_diff", suite) ]

@@ -95,8 +95,9 @@ let no_helping_solo =
   solo_prop ~name:"no-helping variant solo-terminates" ~budget:3_000
     ~make:(counter_programs
              (fun exec ~n ->
-               Approx.Kcounter_variants.No_helping.handle
-                 (Approx.Kcounter_variants.No_helping.create exec ~n ~k:2 ()))
+               Sim_algo.Kcounter.handle
+                 (Sim_algo.Kcounter.create (Sim_backend.ctx exec)
+                    ~variant:No_helping ~n ~k:2 ()))
              8)
 
 (* ------------------------------------------------------------------ *)

@@ -8,6 +8,11 @@ let vi = Alcotest.int
 (* Ablation variants: still correct where expected                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Algorithm 1 over the simulator, as the given variant. *)
+let kcounter variant exec ~n ~k =
+  Sim_algo.Kcounter.handle
+    (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~variant ~n ~k ())
+
 let lincheck_counter make ~k =
   for seed = 0 to 19 do
     let n = 3 in
@@ -29,19 +34,13 @@ let lincheck_counter make ~k =
   done
 
 let test_no_helping_linearizable () =
-  lincheck_counter ~k:2 (fun exec ~n ~k ->
-      Approx.Kcounter_variants.No_helping.handle
-        (Approx.Kcounter_variants.No_helping.create exec ~n ~k ()))
+  lincheck_counter ~k:2 (kcounter No_helping)
 
 let test_no_probe_resume_linearizable () =
-  lincheck_counter ~k:2 (fun exec ~n ~k ->
-      Approx.Kcounter_variants.No_probe_resume.handle
-        (Approx.Kcounter_variants.No_probe_resume.create exec ~n ~k ()))
+  lincheck_counter ~k:2 (kcounter No_probe_resume)
 
 let test_full_scan_linearizable () =
-  lincheck_counter ~k:2 (fun exec ~n ~k ->
-      Approx.Kcounter_variants.Full_scan_read.handle
-        (Approx.Kcounter_variants.Full_scan_read.create exec ~n ~k ()))
+  lincheck_counter ~k:2 (kcounter Full_scan_read)
 
 (* The variants agree with Algorithm 1 on solo executions. *)
 let test_variants_agree_solo () =
@@ -60,29 +59,15 @@ let test_variants_agree_solo () =
          ~policy:Sim.Schedule.Round_robin ());
     List.rev !reads
   in
-  let reference =
-    run (fun exec ~n ~k ->
-        Sim_algo.Kcounter.handle
-          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
-  in
+  let reference = run (kcounter Paper) in
   List.iter
     (fun (label, make) ->
       check (Alcotest.list vi) label reference (run make))
-    [ ("no-helping",
-       fun exec ~n ~k ->
-         Approx.Kcounter_variants.No_helping.handle
-           (Approx.Kcounter_variants.No_helping.create exec ~n ~k ()));
-      ("no-probe-resume",
-       fun exec ~n ~k ->
-         Approx.Kcounter_variants.No_probe_resume.handle
-           (Approx.Kcounter_variants.No_probe_resume.create exec ~n ~k ())) ];
+    [ ("no-helping", kcounter No_helping);
+      ("no-probe-resume", kcounter No_probe_resume) ];
   (* The full scan sees interior switches the hop scan skips, so its reads
      dominate the reference pointwise (never less accurate). *)
-  let full =
-    run (fun exec ~n ~k ->
-        Approx.Kcounter_variants.Full_scan_read.handle
-          (Approx.Kcounter_variants.Full_scan_read.create exec ~n ~k ()))
-  in
+  let full = run (kcounter Full_scan_read) in
   List.iter2
     (fun f r ->
       Alcotest.(check bool)
@@ -106,16 +91,8 @@ let test_no_probe_resume_costs_more () =
          ~policy:Sim.Schedule.Round_robin ());
     Sim.Exec.op_steps_total exec
   in
-  let reference =
-    total_steps (fun exec ~n ~k ->
-        Sim_algo.Kcounter.handle
-          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
-  in
-  let ablated =
-    total_steps (fun exec ~n ~k ->
-        Approx.Kcounter_variants.No_probe_resume.handle
-          (Approx.Kcounter_variants.No_probe_resume.create exec ~n ~k ()))
-  in
+  let reference = total_steps (kcounter Paper) in
+  let ablated = total_steps (kcounter No_probe_resume) in
   Alcotest.(check bool)
     (Printf.sprintf "without cursor %d > with %d" ablated reference)
     true (ablated > reference)
@@ -142,16 +119,8 @@ let test_full_scan_costs_more () =
     | Some (_, _, worst, _) -> worst
     | None -> 0
   in
-  let reference =
-    read_steps (fun exec ~n ~k ->
-        Sim_algo.Kcounter.handle
-          (Sim_algo.Kcounter.create (Sim_backend.ctx exec) ~n ~k ()))
-  in
-  let ablated =
-    read_steps (fun exec ~n ~k ->
-        Approx.Kcounter_variants.Full_scan_read.handle
-          (Approx.Kcounter_variants.Full_scan_read.create exec ~n ~k ()))
-  in
+  let reference = read_steps (kcounter Paper) in
+  let ablated = read_steps (kcounter Full_scan_read) in
   Alcotest.(check bool)
     (Printf.sprintf "full scan %d > hop scan %d" ablated reference)
     true (ablated > reference)

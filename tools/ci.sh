@@ -19,6 +19,15 @@ ALGO_MAKE=$(grep -rlE '_algo\.Make' lib bin bench examples \
 [ "$ALGO_MAKE" = "lib/backend/sim_algo.ml lib/mcore/atomic_algo.ml lib/smoke/backend_smoke.ml " ] \
   || { echo "lib/algo functor applied outside the instantiation modules: $ALGO_MAKE"; exit 1; }
 
+echo "== no algorithm body over raw simulator memory =="
+# Sim_backend is the one place that probes a simulator test&set cell.
+# Anywhere else under lib/ or bench/, such a call is a second algorithm
+# body written against Sim.Memory instead of a lib/algo functor.
+SIM_TAS=$(grep -rl 'Api\.test_and_set' lib bench \
+  | grep -v '^lib/backend/sim_backend\.ml$' | LC_ALL=C sort | tr '\n' ' ' || true)
+[ -z "$SIM_TAS" ] \
+  || { echo "simulator test&set called outside Sim_backend: $SIM_TAS"; exit 1; }
+
 echo "== one array layout in the atomic backend =="
 # Register arrays are one stride-1 Flat block at every length; no
 # boxed per-slot layout may come back beside it.
@@ -50,7 +59,7 @@ echo "== throughput floor: kcounter read-heavy probe vs committed BENCH_9 =="
 # Floor: half the committed BENCH_9 fastpath read-ablation median for
 # the same cell (kcounter, cached reads, read-heavy, domains=1) -- the
 # same 50% rule as the service floor below. The probe always runs at
-# full size (1 warmup + 3 x 200k ops).
+# full size (30 warmup + 3 x 200k ops).
 FP_BASE=$(awk '/"fastpath":/ { fp = 1 }
   fp && /"object":/ { obj = ($2 ~ /"kcounter"/) }
   fp && /"variant":/ { cached = ($2 ~ /"cached"/) }
